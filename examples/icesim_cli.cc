@@ -175,6 +175,30 @@ void CheckAgingName(const std::string& name) {
   }
 }
 
+// Validates scheme spellings, exiting like the other name parsers.
+void CheckSchemeNames(const std::vector<std::string>& names) {
+  RegisterIceScheme();
+  for (const std::string& s : names) {
+    if (!SchemeRegistry::Instance().Contains(s)) {
+      std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
+      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
+        std::fprintf(stderr, " %s", k.c_str());
+      }
+      std::fprintf(stderr, ")\n");
+      std::exit(2);
+    }
+  }
+}
+
+// Parses an on|off flag value, exiting like the other flag parsers.
+bool ParseOnOff(const char* flag, const std::string& value) {
+  if (value != "on" && value != "off") {
+    std::fprintf(stderr, "%s takes 'on' or 'off', got '%s'\n", flag, value.c_str());
+    std::exit(2);
+  }
+  return value == "on";
+}
+
 // Validates a swap-policy spelling, exiting like the other name parsers.
 void CheckSwapName(const std::string& name) {
   SwapPolicy policy;
@@ -202,17 +226,7 @@ int RunSweep(const CliOptions& opts) {
     axes.devices.push_back(DeviceFromName(d));
   }
   axes.schemes = SplitList(opts.scheme);
-  RegisterIceScheme();  // validate scheme names before the workers start
-  for (const std::string& s : axes.schemes) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
-      std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
-      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
-        std::fprintf(stderr, " %s", k.c_str());
-      }
-      std::fprintf(stderr, ")\n");
-      return 2;
-    }
-  }
+  CheckSchemeNames(axes.schemes);  // before the workers start
   axes.agings = SplitList(opts.aging);
   for (const std::string& a : axes.agings) {
     CheckAgingName(a);
@@ -249,7 +263,7 @@ int RunSweep(const CliOptions& opts) {
   int failures = 0;
   for (size_t i = 0; i < cells.size(); ++i) {
     const SweepCell& cell = cells[i];
-    int bg = cell.bg_apps >= 0 ? cell.bg_apps : cell.config.device.full_pressure_bg_apps;
+    const int bg = SweepRunner::NormalizedBg(cell);
     if (!outcomes[i].ok) {
       ++failures;
       table.AddRow({cell.config.device.name, cell.config.scheme,
@@ -287,13 +301,7 @@ int RunFleet(const CliOptions& opts) {
   CheckSwapName(opts.swap);
   config.swap = opts.swap;
   config.schemes = SplitList(opts.scheme);
-  RegisterIceScheme();
-  for (const std::string& s : config.schemes) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
-      std::fprintf(stderr, "unknown scheme '%s'\n", s.c_str());
-      return 2;
-    }
-  }
+  CheckSchemeNames(config.schemes);
   if (!opts.tiers.empty()) {
     config.tiers = SplitList(opts.tiers);
     for (const std::string& t : config.tiers) {
@@ -390,25 +398,9 @@ int main(int argc, char** argv) {
     } else if (ParseArg(argv[i], "--jobs", &value)) {
       opts.jobs = std::atoi(value.c_str());
     } else if (ParseArg(argv[i], "--share-prefix", &value)) {
-      if (value == "on") {
-        opts.share_prefix = true;
-      } else if (value == "off") {
-        opts.share_prefix = false;
-      } else {
-        std::fprintf(stderr, "--share-prefix takes 'on' or 'off', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
+      opts.share_prefix = ParseOnOff("--share-prefix", value);
     } else if (ParseArg(argv[i], "--fleet-templates", &value)) {
-      if (value == "on") {
-        opts.fleet_templates = true;
-      } else if (value == "off") {
-        opts.fleet_templates = false;
-      } else {
-        std::fprintf(stderr, "--fleet-templates takes 'on' or 'off', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
+      opts.fleet_templates = ParseOnOff("--fleet-templates", value);
     } else if (ParseArg(argv[i], "--snapshot", &value)) {
       opts.snapshot_path = value;
     } else if (ParseArg(argv[i], "--restore", &value)) {
@@ -452,16 +444,13 @@ int main(int argc, char** argv) {
   int bg_opt = std::atoi(opts.bg.c_str());
   int bg = bg_opt >= 0 ? bg_opt : config.device.full_pressure_bg_apps;
 
-  if (opts.restore_path.empty()) {
-    std::printf("icesim: %s on %s, scheme=%s, %d BG apps, %ds after %ds warmup, seed=%llu\n",
-                ScenarioName(kind), config.device.name.c_str(), opts.scheme.c_str(), bg,
-                opts.duration_s, opts.warmup_s, static_cast<unsigned long long>(config.seed));
-  } else {
-    std::printf("icesim: %s on %s, scheme=%s, BG apps from %s, %ds after %ds warmup, seed=%llu\n",
-                ScenarioName(kind), config.device.name.c_str(), opts.scheme.c_str(),
-                opts.restore_path.c_str(), opts.duration_s, opts.warmup_s,
-                static_cast<unsigned long long>(config.seed));
-  }
+  const std::string bg_label = opts.restore_path.empty()
+                                   ? std::to_string(bg) + " BG apps"
+                                   : "BG apps from " + opts.restore_path;
+  std::printf("icesim: %s on %s, scheme=%s, %s, %ds after %ds warmup, seed=%llu\n",
+              ScenarioName(kind), config.device.name.c_str(), opts.scheme.c_str(),
+              bg_label.c_str(), opts.duration_s, opts.warmup_s,
+              static_cast<unsigned long long>(config.seed));
 
   std::unique_ptr<Experiment> exp;
   if (!opts.restore_path.empty()) {
@@ -476,37 +465,35 @@ int main(int argc, char** argv) {
     exp->FinishCaching();
   } else {
     exp = std::make_unique<Experiment>(config);
-    Uid fg = exp->UidOf(ScenarioPackage(kind));
+    const bool snapshot = !opts.snapshot_path.empty();
+    // The decomposed caching loop, so --snapshot can save at the quiescent
+    // boundary after the last app and before FinishCaching — the same spot
+    // the prefix-sharing sweep forks from. With nothing to cache, settle to
+    // that boundary instead. Only a snapshot needs the boundary.
+    bool quiescent = true;
     if (bg > 0) {
-      // The decomposed caching loop so --snapshot can save at the quiescent
-      // boundary after the last app, before FinishCaching — the same spot the
-      // prefix-sharing sweep forks from.
-      std::vector<Uid> pool = exp->PlanBackgroundPool({fg});
+      std::vector<Uid> pool = exp->PlanBackgroundPool({exp->UidOf(ScenarioPackage(kind))});
       if (static_cast<size_t>(bg) > pool.size()) {
         std::fprintf(stderr, "--bg=%d exceeds the catalog's %zu candidates\n", bg,
                      pool.size());
         return 2;
       }
-      for (int i = 0; i < bg; ++i) {
-        if (!exp->CacheOneBackgroundApp(pool[static_cast<size_t>(i)]) &&
-            !opts.snapshot_path.empty()) {
-          std::fprintf(stderr, "snapshot failed: system did not reach quiescence\n");
-          return 1;
-        }
+      for (int i = 0; i < bg && quiescent; ++i) {
+        quiescent = exp->CacheOneBackgroundApp(pool[static_cast<size_t>(i)]) || !snapshot;
       }
-      if (!opts.snapshot_path.empty()) {
-        exp->SaveSnapshotToFile(opts.snapshot_path);
-        std::printf("snapshot: saved to %s\n", opts.snapshot_path.c_str());
-      }
-      exp->FinishCaching();
-    } else if (!opts.snapshot_path.empty()) {
-      if (!exp->SettleToQuiescence()) {
-        std::fprintf(stderr, "snapshot failed: system did not reach quiescence\n");
-        return 1;
-      }
+    } else if (snapshot) {
+      quiescent = exp->SettleToQuiescence();
+    }
+    if (!quiescent) {
+      std::fprintf(stderr, "snapshot failed: system did not reach quiescence\n");
+      return 1;
+    }
+    if (snapshot) {
       exp->SaveSnapshotToFile(opts.snapshot_path);
       std::printf("snapshot: saved to %s\n", opts.snapshot_path.c_str());
-      // Mirror the restored run, which always resumes through FinishCaching.
+    }
+    // Mirror the restored run, which always resumes through FinishCaching.
+    if (bg > 0 || snapshot) {
       exp->FinishCaching();
     }
   }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -32,17 +30,19 @@ std::vector<UsageTraceRunner::InstalledApp> InstalledAppsOf(Experiment& exp) {
 }
 }  // namespace
 
-// Per-worker warm-boot state. Workers never share: each thread owns one.
+// Per-worker warm-boot state, indexed by ParallelFor's worker: only that
+// worker's thread touches it.
 struct FleetRunner::WorkerContext {
   struct GroupContext {
-    bool initialized = false;
+    // Built on the group's first device, and again after a device throws
+    // (or the build itself threw) and left it null.
+    std::unique_ptr<Experiment> donor;
     // Donor failed to settle — run this group's devices cold. Settling is a
     // pure function of the group config (boot consumes no device-seed
     // draws), so every worker reaches the same verdict and templated output
     // stays byte-identical to cold.
     bool cold_fallback = false;
     std::vector<uint8_t> template_bytes;
-    std::unique_ptr<Experiment> donor;
     std::vector<UsageTraceRunner::InstalledApp> apps;
   };
   std::vector<GroupContext> groups;
@@ -86,9 +86,10 @@ FleetRunner::FleetRunner(const FleetConfig& config) : config_(config) {
     config_.jobs = DefaultSweepJobs();
   }
   if (config_.chunk == 0) {
-    // Auto chunking: coarse enough that the ordered fold and queue traffic
-    // are cheap, fine enough that stealing can balance stragglers. A pure
-    // function of the device count — never of jobs — so the per-chunk
+    // Auto chunking: coarse enough that the ordered fold and chunk claims
+    // are cheap, fine enough that a straggler chunk (an entry-tier device
+    // thrashing through LMK) leaves the other workers plenty to claim. A
+    // pure function of the device count — never of jobs — so the per-chunk
     // double-sum grouping (and hence the output bytes) is shard-independent.
     config_.chunk = static_cast<uint32_t>(
         std::clamp<uint64_t>(config_.devices / 64, 1, 256));
@@ -149,8 +150,7 @@ void FleetRunner::RunDeviceWith(WorkerContext& wc, uint64_t device_index,
     return;
   }
   WorkerContext::GroupContext& gc = wc.groups[GroupOf(device_index)];
-  if (!gc.initialized) {
-    gc.initialized = true;
+  if (gc.donor == nullptr && !gc.cold_fallback) {
     // The donor seed is arbitrary — boot draws nothing from the device-seed
     // stream and the template fingerprint is compared seed-agnostically —
     // but the fleet seed keeps it deterministic and clearly not any
@@ -180,7 +180,6 @@ void FleetRunner::RunDeviceWith(WorkerContext& wc, uint64_t device_index,
     // discard it so the group's next device rebuilds from a clean boot.
     gc.donor.reset();
     gc.template_bytes.clear();
-    gc.initialized = false;
     throw;
   }
 }
@@ -227,20 +226,19 @@ void FleetRunner::RunChunk(uint64_t chunk_index,
   const uint64_t end = std::min(begin + chunk_, config_.devices);
   for (uint64_t i = begin; i < end; ++i) {
     FleetGroupStats& g = partial[GroupOf(i)];
+    std::string error;
     try {
       RunDeviceWith(wc, i, g);
+      continue;
     } catch (const std::exception& e) {
-      ++g.failures;
-      if (i < g.first_error_device) {
-        g.first_error_device = i;
-        g.first_error = e.what();
-      }
+      error = e.what();
     } catch (...) {
-      ++g.failures;
-      if (i < g.first_error_device) {
-        g.first_error_device = i;
-        g.first_error = "unknown exception";
-      }
+      error = "unknown exception";
+    }
+    ++g.failures;
+    if (i < g.first_error_device) {
+      g.first_error_device = i;
+      g.first_error = std::move(error);
     }
   }
 }
@@ -251,86 +249,39 @@ FleetResult FleetRunner::Run() const {
   result.config = config_;
   result.groups = MakeAccumulators();
 
+  // Per-worker warm-boot donors live across chunks: with stratified groups
+  // every chunk touches every group, so each worker boots each group at most
+  // once for the whole run.
   const uint64_t chunks = num_chunks();
-  const int workers =
-      static_cast<int>(std::min<uint64_t>(static_cast<uint64_t>(config_.jobs),
-                                          chunks == 0 ? 1 : chunks));
-
-  // Work-stealing chunk queues: contiguous blocks per worker, own work pops
-  // from the front, steals take from the back of the fullest victim. One
-  // mutex guards the queues — chunks are coarse, so queue traffic is cold.
-  std::mutex queue_mu;
-  std::vector<std::deque<uint64_t>> queues(static_cast<size_t>(workers));
-  for (uint64_t c = 0; c < chunks; ++c) {
-    const size_t w = static_cast<size_t>(c * static_cast<uint64_t>(workers) / chunks);
-    queues[w].push_back(c);
+  std::vector<WorkerContext> contexts(
+      std::min<uint64_t>(static_cast<uint64_t>(config_.jobs), chunks));
+  for (WorkerContext& wc : contexts) {
+    wc.groups.resize(num_groups());
   }
-  auto pop = [&queue_mu, &queues](size_t self, uint64_t* chunk) {
-    std::lock_guard<std::mutex> lock(queue_mu);
-    if (!queues[self].empty()) {
-      *chunk = queues[self].front();
-      queues[self].pop_front();
-      return true;
-    }
-    size_t victim = queues.size();
-    size_t best = 0;
-    for (size_t i = 0; i < queues.size(); ++i) {
-      if (queues[i].size() > best) {
-        best = queues[i].size();
-        victim = i;
-      }
-    }
-    if (victim == queues.size()) {
-      return false;
-    }
-    *chunk = queues[victim].back();
-    queues[victim].pop_back();
-    return true;
-  };
 
-  // Ordered streaming fold: finished chunk partials wait (bounded by
-  // scheduling skew) until every lower-indexed chunk has folded, so the
-  // reduce order — and therefore every double sum — is independent of which
-  // worker ran what.
+  // Ordered streaming fold: a finished chunk's partial waits until every
+  // lower-indexed chunk has folded, so the reduce order — and therefore
+  // every double sum — is independent of which worker ran what. Workers
+  // claim chunks in ascending order, so the partials waiting at any moment
+  // are only those the other workers finished while the lowest unfinished
+  // chunk ran: bounded by the scheduling skew, never by N.
   std::mutex fold_mu;
   std::map<uint64_t, std::vector<FleetGroupStats>> pending;
   uint64_t next_fold = 0;
-
-  auto worker_fn = [&, this](size_t self) {
-    // Per-worker warm-boot donors live across chunks: with stratified
-    // groups every chunk touches every group, so each worker boots each
-    // group at most once for the whole run.
-    WorkerContext wc;
-    wc.groups.resize(num_groups());
-    uint64_t chunk = 0;
-    while (pop(self, &chunk)) {
-      std::vector<FleetGroupStats> partial = MakeAccumulators();
-      RunChunk(chunk, partial, wc);
-      std::lock_guard<std::mutex> lock(fold_mu);
-      pending.emplace(chunk, std::move(partial));
-      while (!pending.empty() && pending.begin()->first == next_fold) {
-        std::vector<FleetGroupStats>& ready = pending.begin()->second;
-        for (size_t g = 0; g < result.groups.size(); ++g) {
-          result.groups[g].MergeFrom(ready[g]);
-        }
-        pending.erase(pending.begin());
-        ++next_fold;
+  ParallelFor(chunks, config_.jobs, [&](size_t chunk, size_t worker) {
+    std::vector<FleetGroupStats> partial = MakeAccumulators();
+    RunChunk(chunk, partial, contexts[worker]);
+    std::lock_guard<std::mutex> lock(fold_mu);
+    pending.emplace(chunk, std::move(partial));
+    while (!pending.empty() && pending.begin()->first == next_fold) {
+      std::vector<FleetGroupStats>& ready = pending.begin()->second;
+      for (size_t g = 0; g < result.groups.size(); ++g) {
+        result.groups[g].MergeFrom(ready[g]);
       }
+      pending.erase(pending.begin());
+      ++next_fold;
     }
-  };
-
-  if (workers <= 1) {
-    worker_fn(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back(worker_fn, static_cast<size_t>(w));
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+  });
   ICE_CHECK_EQ(next_fold, chunks);
 
   for (const FleetGroupStats& g : result.groups) {

@@ -4,14 +4,15 @@
 // per-(policy x tier) mergeable histograms instead of per-device records —
 // a million cells cannot each write a JSON blob.
 //
-// Execution model: devices are grouped into fixed-size chunks and the chunks
-// are fed to a work-stealing job pool — each worker owns a deque of chunks
-// and steals from the fullest victim when its own runs dry, so stragglers
-// (e.g. an entry-tier device thrashing through LMK) do not idle the other
-// cores. Each chunk accumulates its own partial FleetGroupStats; finished
-// partials are folded into the global aggregate *in chunk-index order*
-// ("ordered streaming fold"), so memory stays bounded by the scheduling
-// skew, never by N.
+// Execution model: devices are grouped into fixed-size chunks, and the
+// chunks run on the harness's one executor, ParallelFor (sweep.h): workers
+// claim the next chunk index from a shared counter, so a straggler (e.g. an
+// entry-tier device thrashing through LMK) never idles the other cores.
+// Each chunk accumulates its own partial FleetGroupStats; finished partials
+// are folded into the global aggregate *in chunk-index order* ("ordered
+// streaming fold"). Chunks are claimed in ascending order, so a partial
+// waits only for chunks already running: memory stays bounded by the
+// scheduling skew, never by N.
 //
 // Determinism contract (shard-independent): a device's results depend only
 // on its index (tier, scheme, seed are all pure functions of it), and the
@@ -136,7 +137,7 @@ class FleetRunner {
  private:
   // Per-worker warm-boot state: one donor Experiment + template per group
   // this worker has touched, plus a reusable snapshot writer. Defined in
-  // fleet.cc; workers are threads, so nothing here is shared.
+  // fleet.cc; one per ParallelFor worker, so nothing here is shared.
   struct WorkerContext;
 
   // The experiment config for one (tier, scheme) group; everything but the

@@ -1,8 +1,7 @@
 #include "src/harness/sweep.h"
 
 #include <algorithm>
-
-#include "src/base/binary_stream.h"
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -10,6 +9,8 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+
+#include "src/base/binary_stream.h"
 
 namespace ice {
 
@@ -70,34 +71,31 @@ int DefaultSweepJobs() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-SweepRunner::SweepRunner(int jobs) : jobs_(jobs > 0 ? jobs : DefaultSweepJobs()) {}
-
-void SweepRunner::Dispatch(size_t n, const std::function<void(size_t)>& task) const {
-  if (n == 0) {
-    return;
-  }
-  size_t workers = std::min(static_cast<size_t>(jobs_), n);
+void ParallelFor(size_t n, int jobs,
+                 const std::function<void(size_t index, size_t worker)>& task) {
+  const size_t workers = std::min(static_cast<size_t>(std::max(jobs, 1)), n);
   if (workers <= 1) {
     for (size_t i = 0; i < n; ++i) {
-      task(i);
+      task(i, 0);
     }
     return;
   }
   std::atomic<size_t> next{0};
-  auto worker = [&next, &task, n] {
-    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      task(i);
-    }
-  };
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back(worker);
+    threads.emplace_back([&next, &task, n, w] {
+      for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+        task(i, w);
+      }
+    });
   }
   for (std::thread& t : threads) {
     t.join();
   }
 }
+
+SweepRunner::SweepRunner(int jobs) : jobs_(jobs > 0 ? jobs : DefaultSweepJobs()) {}
 
 namespace {
 
@@ -186,7 +184,7 @@ std::vector<CellOutcome> SweepRunner::Run(const std::vector<SweepCell>& cells,
       donors.push_back(std::move(members));
     }
     // Phase 1: donors in parallel. Each writes only its own members' slots.
-    Dispatch(donors.size(), [&](size_t g) {
+    ParallelFor(donors.size(), jobs_, [&](size_t g, size_t) {
       RunPrefixDonor(cells, donors[g], snapshots, donor_results);
     });
   }

@@ -11,7 +11,6 @@
 #ifndef SRC_HARNESS_SWEEP_H_
 #define SRC_HARNESS_SWEEP_H_
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -81,6 +80,14 @@ using CellOutcome = SweepOutcome<ScenarioResult>;
 // Worker count: ICE_JOBS env override, else hardware concurrency (min 1).
 int DefaultSweepJobs();
 
+// The harness's one executor: runs task(index, worker) for every index in
+// [0, n) on min(jobs, n) threads, inline when that is 1 (jobs < 1 counts as
+// 1). Threads claim indices from a shared counter, so indices start in
+// ascending order; `worker` < min(jobs, n) indexes per-worker state that
+// only that thread touches. task must not throw.
+void ParallelFor(size_t n, int jobs,
+                 const std::function<void(size_t index, size_t worker)>& task);
+
 class SweepRunner {
  public:
   // jobs <= 0 selects DefaultSweepJobs().
@@ -94,7 +101,7 @@ class SweepRunner {
   template <typename T>
   std::vector<SweepOutcome<T>> Map(size_t n, const std::function<T(size_t)>& fn) const {
     std::vector<SweepOutcome<T>> out(n);
-    Dispatch(n, [&](size_t i) {
+    ParallelFor(n, jobs_, [&](size_t i, size_t) {
       try {
         out[i].value = fn(i);
         out[i].ok = true;
@@ -131,9 +138,6 @@ class SweepRunner {
   static int NormalizedBg(const SweepCell& cell);
 
  private:
-  // Runs task(i) for all i; task is expected not to throw.
-  void Dispatch(size_t n, const std::function<void(size_t)>& task) const;
-
   int jobs_;
 };
 

@@ -1,11 +1,14 @@
 #include "src/harness/fleet.h"
 
+#include <memory>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "src/android/device_profile.h"
 #include "src/harness/fleet_report.h"
+#include "src/policy/registry.h"
 
 namespace ice {
 namespace {
@@ -73,20 +76,23 @@ TEST(FleetRunnerTest, EmptyFleetProducesEmptyGroups) {
 }
 
 // The determinism contract: fleet output is byte-identical for any jobs=N.
-// This is the in-process twin of the CI leg that diffs --jobs=1 vs --jobs=8.
-// Runs through the default warm-boot template path, so it also pins the
-// per-worker donor/recycle machinery to the shard-independence contract.
+// This is the in-process twin of the CI leg that diffs --jobs=1 against
+// --jobs=3 and --jobs=8; jobs=3 splits the 4 chunks unevenly. Runs through
+// the default warm-boot template path, so it also pins the per-worker
+// donor/recycle machinery to the shard-independence contract.
 TEST(FleetRunnerTest, ReportIsByteIdenticalAcrossJobCounts) {
   FleetConfig serial_config = SmokeConfig();
   serial_config.jobs = 1;
   FleetResult serial = FleetRunner(serial_config).Run();
-
-  FleetConfig parallel_config = SmokeConfig();
-  parallel_config.jobs = 8;
-  FleetResult parallel = FleetRunner(parallel_config).Run();
-
   EXPECT_EQ(serial.devices_failed, 0u);
-  EXPECT_EQ(FleetReportJson("x", serial), FleetReportJson("x", parallel));
+
+  for (int jobs : {2, 3, 8}) {
+    FleetConfig parallel_config = SmokeConfig();
+    parallel_config.jobs = jobs;
+    FleetResult parallel = FleetRunner(parallel_config).Run();
+    EXPECT_EQ(FleetReportJson("x", serial), FleetReportJson("x", parallel))
+        << "jobs=" << jobs;
+  }
 
   // Every device landed in its group; stratification splits 12 devices
   // evenly across 4 groups.
@@ -102,6 +108,25 @@ TEST(FleetRunnerTest, ReportIsByteIdenticalAcrossJobCounts) {
   }
   EXPECT_EQ(total, serial_config.devices);
   EXPECT_GE(serial.peak_arena_bytes, serial.groups[0].peak_arena_bytes);
+}
+
+// A donor whose construction throws leaves its group without a template.
+// The group's later devices must retry the build, not restore through a
+// null donor: every device reports the failure and the run completes.
+TEST(FleetRunnerTest, ThrowingDonorBuildFailsEachDeviceCleanly) {
+  SchemeRegistry::Instance().Register("throws_on_create", []() -> std::unique_ptr<Scheme> {
+    throw std::runtime_error("scheme factory failed");
+  });
+  FleetConfig c = SmokeConfig();
+  c.schemes = {"throws_on_create"};
+  c.tiers = {"mid-4g"};
+  c.devices = 3;
+  c.jobs = 1;
+  FleetResult r = FleetRunner(c).Run();
+  ASSERT_EQ(r.groups.size(), 1u);
+  EXPECT_EQ(r.devices_failed, 3u);
+  EXPECT_EQ(r.groups[0].first_error_device, 0u);
+  EXPECT_EQ(r.groups[0].first_error, "scheme factory failed");
 }
 
 // The warm-boot acceptance contract: templated output is byte-identical to

@@ -5,8 +5,11 @@
 //  (c) a cell that throws is reported without poisoning sibling cells.
 #include "src/harness/sweep.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "gtest/gtest.h"
@@ -120,6 +123,26 @@ TEST(SweepRunner, OrderingIndependentOfJobs) {
     for (size_t i = 0; i < out.size(); ++i) {
       ASSERT_TRUE(out[i].ok);
       EXPECT_EQ(out[i].value, i * 100) << "jobs=" << jobs;
+    }
+  }
+}
+
+// The one harness executor: every index runs exactly once, on a worker
+// index below min(jobs, n), including the empty and single-index cases.
+TEST(ParallelFor, VisitsEveryIndexOnceOnABoundedWorker) {
+  for (size_t n : {0, 1, 5}) {
+    for (int jobs : {1, 3, 8}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " jobs=" + std::to_string(jobs));
+      std::vector<std::atomic<int>> visits(n);
+      std::vector<size_t> worker_of(n);
+      ParallelFor(n, jobs, [&](size_t i, size_t worker) {
+        visits[i].fetch_add(1);
+        worker_of[i] = worker;
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+        EXPECT_LT(worker_of[i], std::min(static_cast<size_t>(jobs), n)) << "index " << i;
+      }
     }
   }
 }
