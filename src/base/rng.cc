@@ -107,21 +107,33 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
+ZipfDist::ZipfDist(uint64_t n_in, double s) : n(n_in) {
+  if (n <= 1) {
+    return;
+  }
+  if (s == 1.0) {
+    log_scale = true;
+    hn = std::log(static_cast<double>(n));
+    return;
+  }
+  one_minus_s = 1.0 - s;
+  hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  inv_one_minus_s = 1.0 / one_minus_s;
+}
+
+uint64_t Rng::Zipf(const ZipfDist& dist) {
+  const uint64_t n = dist.n;
   if (n <= 1) {
     return 0;
   }
   // Inverse-CDF approximation for the continuous Zipf/Pareto distribution.
   // Exact for s == 1 up to normalization; adequate for skewed access models.
   double u = NextDouble();
-  if (s == 1.0) {
-    double h = std::log(static_cast<double>(n));
-    uint64_t r = static_cast<uint64_t>(std::exp(u * h)) - 1;
+  if (dist.log_scale) {
+    uint64_t r = static_cast<uint64_t>(std::exp(u * dist.hn)) - 1;
     return r >= n ? n - 1 : r;
   }
-  double one_minus_s = 1.0 - s;
-  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
-  double x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
+  double x = std::pow(u * dist.hn * dist.one_minus_s + 1.0, dist.inv_one_minus_s);
   uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
   return r >= n ? n - 1 : r;
 }

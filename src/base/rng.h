@@ -17,6 +17,22 @@ namespace ice {
 class BinaryReader;
 class BinaryWriter;
 
+// The per-(n, s) constants of a Zipf draw, computed once for a fixed
+// population and exponent, so a hot sampler pays one pow per draw instead of
+// two pows and two divisions. Rng::Zipf(const ZipfDist&) evaluates the same
+// expressions on the same doubles, so ranks are bit-identical to computing
+// the constants afresh.
+struct ZipfDist {
+  ZipfDist() = default;
+  ZipfDist(uint64_t n, double s);
+
+  uint64_t n = 0;
+  bool log_scale = false;  // s == 1: hn holds log(n).
+  double one_minus_s = 0.0;
+  double hn = 0.0;  // (n^(1-s) - 1) / (1-s), or log(n).
+  double inv_one_minus_s = 0.0;
+};
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL);
@@ -47,7 +63,9 @@ class Rng {
 
   // Pareto-ish heavy tail used by working-set models: returns a rank in
   // [0, n) where low ranks are much more likely (Zipf with exponent s).
-  uint64_t Zipf(uint64_t n, double s);
+  // n <= 1 returns 0 without drawing.
+  uint64_t Zipf(uint64_t n, double s) { return Zipf(ZipfDist(n, s)); }
+  uint64_t Zipf(const ZipfDist& dist);
 
   // Log-normal sample with the given median and sigma of the underlying
   // normal. Used for service-time jitter.

@@ -71,6 +71,14 @@ class AddressSpace {
   size_t arena_bytes() const { return page_count_ * sizeof(PageInfo); }
   PageInfo& page(uint32_t vpn);
   const PageInfo& page(uint32_t vpn) const;
+  // Hints the CPU to start loading `vpn`'s record for an imminent access.
+  // Only a hint: no simulated state is read or written, and a vpn outside
+  // the space is ignored.
+  void PrefetchPage(uint32_t vpn) const {
+    if (vpn < page_count_) {
+      __builtin_prefetch(pages_.get() + vpn, /*rw=*/1, /*locality=*/3);
+    }
+  }
 
   // Region boundaries: [0, java) java heap, [java, java+native) native heap,
   // [java+native, total) file-backed.

@@ -70,9 +70,16 @@ void WorkQueueBehavior::Run(TaskContext& ctx) {
     WorkItem& item = queue_.front();
 
     // Touch the item's pages first (rendering reads its inputs), then burn
-    // the compute. Both phases are resumable.
+    // the compute. Both phases are resumable. The whole touch list is known
+    // up front, so the page record kTouchPrefetchDistance entries ahead is
+    // requested while this one is processed: frame touches are random picks
+    // over a large arena, and each would otherwise stall on a cache miss.
     while (item.next_touch < item.touch_vpns.size()) {
       ICE_CHECK(item.space != nullptr);
+      size_t ahead = item.next_touch + kTouchPrefetchDistance;
+      if (ahead < item.touch_vpns.size()) {
+        item.space->PrefetchPage(item.touch_vpns[ahead]);
+      }
       uint32_t vpn = item.touch_vpns[item.next_touch];
       ++item.next_touch;
       ctx.Touch(*item.space, vpn, item.write);

@@ -124,6 +124,10 @@ class WorkQueueBehavior : public Behavior {
   void RestoreFrom(BinaryReader& r) override;
 
  private:
+  // How many touches ahead Run prefetches page records (see DESIGN.md,
+  // "Memory layout").
+  static constexpr size_t kTouchPrefetchDistance = 8;
+
   Task* task_ = nullptr;
   std::deque<WorkItem> queue_;
   uint64_t completed_ = 0;

@@ -9,18 +9,26 @@
 
 namespace ice {
 
+PeriodicTouchBehavior::PeriodicTouchBehavior(const Params& params) : params_(params) {
+  ICE_CHECK(params_.region_count == 1 || params_.region_count == 2);
+  for (int i = 0; i < params_.region_count; ++i) {
+    const Region& region = params_.regions[i];
+    zipf_[i] = ZipfDist(region.end - region.begin, params_.zipf_s);
+  }
+}
+
 PeriodicTouchBehavior::Sample PeriodicTouchBehavior::SampleVpn(Rng& rng) {
-  const Region* region = &params_.regions[0];
+  int index = 0;
   if (params_.region_count > 1) {
     double total = params_.regions[0].weight + params_.regions[1].weight;
     if (rng.NextDouble() * total >= params_.regions[0].weight) {
-      region = &params_.regions[1];
+      index = 1;
     }
   }
-  uint32_t span = region->end - region->begin;
+  const Region& region = params_.regions[index];
+  uint32_t span = region.end - region.begin;
   ICE_CHECK_GT(span, 0u);
-  return {region->space,
-          region->begin + static_cast<uint32_t>(rng.Zipf(span, params_.zipf_s))};
+  return {region.space, region.begin + static_cast<uint32_t>(rng.Zipf(zipf_[index]))};
 }
 
 void PeriodicTouchBehavior::Run(TaskContext& ctx) {

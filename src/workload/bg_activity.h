@@ -12,6 +12,7 @@
 #define SRC_WORKLOAD_BG_ACTIVITY_H_
 
 #include "src/android/activity_manager.h"
+#include "src/base/rng.h"
 #include "src/proc/behavior.h"
 #include "src/workload/app_catalog.h"
 
@@ -37,7 +38,7 @@ class PeriodicTouchBehavior : public Behavior {
     double jitter = 0.3;
   };
 
-  explicit PeriodicTouchBehavior(const Params& params) : params_(params) {}
+  explicit PeriodicTouchBehavior(const Params& params);
 
   void Run(TaskContext& ctx) override;
 
@@ -55,6 +56,7 @@ class PeriodicTouchBehavior : public Behavior {
   Sample SampleVpn(Rng& rng);
 
   Params params_;
+  ZipfDist zipf_[2];  // Per region, over [begin, end) at params_.zipf_s.
   bool started_ = false;
   uint32_t remaining_touches_ = 0;
   SimDuration remaining_cpu_ = 0;

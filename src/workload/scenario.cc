@@ -6,6 +6,11 @@
 
 namespace ice {
 
+namespace {
+// Skew of the foreground working-set picks toward each prefix's start.
+constexpr double kHotZipfS = 0.55;
+}  // namespace
+
 const char* ScenarioName(ScenarioKind kind) {
   switch (kind) {
     case ScenarioKind::kVideoCall:
@@ -102,70 +107,67 @@ ScenarioParams ParamsFor(ScenarioKind kind) {
 Scenario::Scenario(ActivityManager& am, Uid uid, ScenarioKind kind, Rng rng)
     : am_(am), uid_(uid), kind_(kind), params_(ParamsFor(kind)), rng_(rng) {}
 
-uint32_t Scenario::SampleHotVpn(AddressSpace& space) {
+Scenario::FrameSpans Scenario::SpansFor(const AddressSpace& space) const {
   const AppDescriptor& d = am_.descriptor(uid_);
+  FrameSpans spans;
+  spans.java_hot = static_cast<uint32_t>(
+      (space.java_end() - space.java_begin()) * d.cold_touch_fraction * 0.8);
+  spans.native_hot = static_cast<uint32_t>(
+      (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
+  spans.file_hot = static_cast<uint32_t>(
+      (space.file_end() - space.file_begin()) * d.cold_touch_fraction);
+  spans.revisit_span = std::max(1u, spans.java_hot + spans.native_hot + spans.file_hot);
+  spans.anon_zipf = ZipfDist(std::max(1u, spans.java_hot + spans.native_hot), kHotZipfS);
+  spans.file_zipf = ZipfDist(std::max(1u, spans.file_hot), kHotZipfS);
+  spans.ring_begin = space.native_begin() + spans.native_hot;
+  spans.ring_end = static_cast<uint32_t>(std::min<uint64_t>(
+      space.native_end(), spans.ring_begin + params_.alloc_ring_pages));
+  return spans;
+}
+
+uint32_t Scenario::SampleHotVpn(const AddressSpace& space, const FrameSpans& spans) {
   if (rng_.NextDouble() < params_.revisit_fraction) {
     // Cold revisit: uniform over the launched prefix of all three regions.
-    uint32_t java_hot = static_cast<uint32_t>(
-        (space.java_end() - space.java_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t native_hot = static_cast<uint32_t>(
-        (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t file_hot = static_cast<uint32_t>(
-        (space.file_end() - space.file_begin()) * d.cold_touch_fraction);
-    uint32_t span = std::max(1u, java_hot + native_hot + file_hot);
-    uint32_t r = rng_.Below(span);
-    if (r < java_hot) {
+    uint32_t r = rng_.Below(spans.revisit_span);
+    if (r < spans.java_hot) {
       return space.java_begin() + r;
     }
-    r -= java_hot;
-    if (r < native_hot) {
+    r -= spans.java_hot;
+    if (r < spans.native_hot) {
       return space.native_begin() + r;
     }
-    return space.file_begin() + (r - native_hot);
+    return space.file_begin() + (r - spans.native_hot);
   }
   // 55 % anonymous (java+native prefix), 45 % file prefix — the foreground
   // working set mix.
   if (rng_.NextDouble() < 0.55) {
-    uint32_t java_hot = static_cast<uint32_t>(
-        (space.java_end() - space.java_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t native_hot = static_cast<uint32_t>(
-        (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t span = std::max(1u, java_hot + native_hot);
-    uint32_t r = static_cast<uint32_t>(rng_.Zipf(span, 0.55));
-    if (r < java_hot) {
+    uint32_t r = static_cast<uint32_t>(rng_.Zipf(spans.anon_zipf));
+    if (r < spans.java_hot) {
       return space.java_begin() + r;
     }
-    return space.native_begin() + (r - java_hot);
+    return space.native_begin() + (r - spans.java_hot);
   }
-  uint32_t file_hot = std::max(1u, static_cast<uint32_t>(
-      (space.file_end() - space.file_begin()) * d.cold_touch_fraction));
-  return space.file_begin() + static_cast<uint32_t>(rng_.Zipf(file_hot, 0.55));
+  return space.file_begin() + static_cast<uint32_t>(rng_.Zipf(spans.file_zipf));
 }
 
-void Scenario::AppendColdFile(AddressSpace& space, FrameWork& frame, uint32_t pages) {
+void Scenario::AppendColdFile(const AddressSpace& space, const FrameSpans& spans,
+                              FrameWork& frame, uint32_t pages) {
   for (uint32_t i = 0; i < pages; ++i) {
     if (file_cursor_ >= space.file_end()) {
       // Wrap to the hot-prefix boundary: old content gets re-read.
-      const AppDescriptor& d = am_.descriptor(uid_);
-      file_cursor_ = space.file_begin() + static_cast<uint32_t>(
-          (space.file_end() - space.file_begin()) * d.cold_touch_fraction);
+      file_cursor_ = space.file_begin() + spans.file_hot;
     }
     frame.vpns.push_back(file_cursor_++);
   }
 }
 
-void Scenario::AppendAnonAlloc(AddressSpace& space, FrameWork& frame, uint32_t pages) {
+void Scenario::AppendAnonAlloc(const FrameSpans& spans, FrameWork& frame, uint32_t pages) {
   // Allocations cycle through a bounded ring above the hot prefix — like a
   // real decoded-frame ring. Under pressure the reused slots have been
   // evicted, so each lap faults them back in on the render path.
-  const AppDescriptor& d = am_.descriptor(uid_);
-  uint32_t ring_begin = space.native_begin() + static_cast<uint32_t>(
-      (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
-  uint32_t ring_end = static_cast<uint32_t>(std::min<uint64_t>(
-      space.native_end(), ring_begin + params_.alloc_ring_pages));
   for (uint32_t i = 0; i < pages; ++i) {
-    if (anon_cursor_ < ring_begin || anon_cursor_ >= ring_end) {
-      anon_cursor_ = ring_begin;
+    if (anon_cursor_ < spans.ring_begin || anon_cursor_ >= spans.ring_end) {
+      anon_cursor_ = spans.ring_begin;
     }
     frame.vpns.push_back(anon_cursor_++);
   }
@@ -176,13 +178,11 @@ std::optional<FrameWork> Scenario::NextFrame(SimTime vsync) {
   if (space == nullptr) {
     return std::nullopt;  // App died (LMK) mid-scenario.
   }
+  const FrameSpans spans = SpansFor(*space);
   if (!initialized_) {
     initialized_ = true;
-    const AppDescriptor& d = am_.descriptor(uid_);
-    file_cursor_ = space->file_begin() + static_cast<uint32_t>(
-        (space->file_end() - space->file_begin()) * d.cold_touch_fraction);
-    anon_cursor_ = space->native_begin() + static_cast<uint32_t>(
-        (space->native_end() - space->native_begin()) * d.cold_touch_fraction * 0.8);
+    file_cursor_ = space->file_begin() + spans.file_hot;
+    anon_cursor_ = spans.ring_begin;
     next_burst_ = params_.burst_period == 0 ? UINT64_MAX : vsync + params_.burst_period;
     next_round_ = params_.round_period == 0 ? UINT64_MAX : vsync + params_.round_period;
   }
@@ -198,9 +198,9 @@ std::optional<FrameWork> Scenario::NextFrame(SimTime vsync) {
   }
   frame.vpns.reserve(params_.frame_touches + params_.frame_alloc_pages + 16);
   for (uint32_t i = 0; i < params_.frame_touches; ++i) {
-    frame.vpns.push_back(SampleHotVpn(*space));
+    frame.vpns.push_back(SampleHotVpn(*space, spans));
   }
-  AppendAnonAlloc(*space, frame, params_.frame_alloc_pages);
+  AppendAnonAlloc(spans, frame, params_.frame_alloc_pages);
 
   if (vsync >= next_burst_) {
     next_burst_ = vsync + params_.burst_period;
@@ -216,12 +216,12 @@ std::optional<FrameWork> Scenario::NextFrame(SimTime vsync) {
   if (pending_cold_file_ > 0) {
     uint32_t n = std::min(pending_cold_file_, kMaxColdPerFrame);
     pending_cold_file_ -= n;
-    AppendColdFile(*space, frame, n);
+    AppendColdFile(*space, spans, frame, n);
   }
   if (pending_anon_alloc_ > 0) {
     uint32_t n = std::min(pending_anon_alloc_, kMaxAllocPerFrame);
     pending_anon_alloc_ -= n;
-    AppendAnonAlloc(*space, frame, n);
+    AppendAnonAlloc(spans, frame, n);
   }
   return frame;
 }

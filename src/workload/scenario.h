@@ -70,9 +70,24 @@ class Scenario : public FrameSource {
   Uid uid() const { return uid_; }
 
  private:
-  uint32_t SampleHotVpn(AddressSpace& space);
-  void AppendColdFile(AddressSpace& space, FrameWork& frame, uint32_t pages);
-  void AppendAnonAlloc(AddressSpace& space, FrameWork& frame, uint32_t pages);
+  // The app's launched-prefix geometry, derived once per frame from its
+  // descriptor and address space; every sampler of the frame reads it.
+  struct FrameSpans {
+    uint32_t java_hot = 0;    // Launched prefix of each region, in pages.
+    uint32_t native_hot = 0;
+    uint32_t file_hot = 0;
+    uint32_t revisit_span = 1;  // Uniform cold-revisit range (all prefixes).
+    ZipfDist anon_zipf;         // Over the java + native prefixes.
+    ZipfDist file_zipf;         // Over the file prefix.
+    uint32_t ring_begin = 0;    // Anon allocation ring [begin, end).
+    uint32_t ring_end = 0;
+  };
+  FrameSpans SpansFor(const AddressSpace& space) const;
+
+  uint32_t SampleHotVpn(const AddressSpace& space, const FrameSpans& spans);
+  void AppendColdFile(const AddressSpace& space, const FrameSpans& spans, FrameWork& frame,
+                      uint32_t pages);
+  void AppendAnonAlloc(const FrameSpans& spans, FrameWork& frame, uint32_t pages);
 
   ActivityManager& am_;
   Uid uid_;

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/base/binary_stream.h"
+
 namespace ice {
 namespace {
 
@@ -146,6 +148,55 @@ TEST(Rng, ZipfNearUniformWhenFlat) {
     }
   }
   EXPECT_NEAR(low_half / static_cast<double>(kSamples), 0.5, 0.05);
+}
+
+// The Zipf formula as it stood before ZipfDist hoisted its constants: both
+// pows and both divisions evaluated per draw.
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
+  if (n <= 1) {
+    return 0;
+  }
+  double u = rng.NextDouble();
+  if (s == 1.0) {
+    double h = std::log(static_cast<double>(n));
+    uint64_t r = static_cast<uint64_t>(std::exp(u * h)) - 1;
+    return r >= n ? n - 1 : r;
+  }
+  double one_minus_s = 1.0 - s;
+  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  double x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
+  uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
+  return r >= n ? n - 1 : r;
+}
+
+std::vector<uint8_t> StateBytes(const Rng& rng) {
+  BinaryWriter w;
+  rng.SaveTo(w);
+  return w.buffer();
+}
+
+// Hoisting the per-(n, s) constants must not move a single rank or draw:
+// equally seeded generators agree draw for draw, and their saved states
+// match afterwards (so n <= 1 consumes nothing on either path).
+TEST(Rng, ZipfDistMatchesPerDrawFormula) {
+  const uint64_t kNs[] = {0, 1, 2, 3, 4096, uint64_t{1} << 20, uint64_t{1} << 31};
+  const double kSs[] = {0.05, 0.55, 0.9, 1.0};
+  for (uint64_t n : kNs) {
+    for (double s : kSs) {
+      Rng reference(97), two_arg(97), hoisted(97);
+      const ZipfDist dist(n, s);
+      for (int i = 0; i < 10000; ++i) {
+        uint64_t want = ReferenceZipf(reference, n, s);
+        ASSERT_EQ(two_arg.Zipf(n, s), want) << "n=" << n << " s=" << s << " draw " << i;
+        ASSERT_EQ(hoisted.Zipf(dist), want) << "n=" << n << " s=" << s << " draw " << i;
+      }
+      EXPECT_EQ(StateBytes(two_arg), StateBytes(reference)) << "n=" << n << " s=" << s;
+      EXPECT_EQ(StateBytes(hoisted), StateBytes(reference)) << "n=" << n << " s=" << s;
+      if (n <= 1) {
+        EXPECT_EQ(StateBytes(hoisted), StateBytes(Rng(97))) << "n=" << n;
+      }
+    }
+  }
 }
 
 TEST(Rng, LogNormalMedian) {
