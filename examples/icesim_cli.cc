@@ -14,9 +14,12 @@
 //   $ ./icesim_cli --sweep --jobs=8 --scheme=lru_cfs,ice
 //         --scenario=s-a,s-b,s-c,s-d --seed=1,2,3 --out=grid
 //   $ ./icesim_cli --help
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <exception>
 #include <memory>
 #include <string>
@@ -25,6 +28,7 @@
 #include "src/harness/experiment.h"
 #include "src/harness/fleet.h"
 #include "src/harness/fleet_report.h"
+#include "src/harness/policy_axes.h"
 #include "src/harness/sweep.h"
 #include "src/harness/sweep_report.h"
 #include "src/ice/daemon.h"
@@ -40,8 +44,8 @@ using namespace ice;
 struct CliOptions {
   std::string device = "p20";
   std::string scheme = "lru_cfs";
-  std::string aging = "two_list";
-  std::string swap = "baseline";
+  // One value (a comma list in sweep mode) per PolicyAxes() row.
+  std::vector<std::string> policies;
   std::string scenario = "s-b";
   std::string bg = "-1";  // -1 = the device's full-pressure count.
   int duration_s = 30;
@@ -69,14 +73,16 @@ void PrintHelp() {
   std::printf(
       "icesim — ICE reproduction simulator\n\n"
       "  --device=p20|pixel3      device profile (default p20)\n"
-      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice\n"
-      "  --aging=NAME             page aging policy: two_list (classic LRU,\n"
-      "                           default) | gen_clock (MGLRU-style generation\n"
-      "                           clock); a comma-list sweep axis in sweep mode\n"
-      "  --swap=NAME              swap-out policy: baseline (admit everything,\n"
-      "                           default) | hotness (Ariadne-style hotness-gated\n"
-      "                           admission, tiered compression, zram writeback);\n"
-      "                           a comma-list sweep axis in sweep mode\n"
+      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice\n");
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    std::string flag = "--" + std::string(axis.key) + "=NAME", names;
+    for (const std::string& name : axis.names) {
+      names += (names.empty() ? "" : " | ") + name;
+    }
+    std::printf("  %-24s %s:\n  %-24s %s (default %s);\n  %-24s a comma list in sweep mode\n",
+                flag.c_str(), axis.help, "", names.c_str(), axis.default_name().c_str(), "");
+  }
+  std::printf(
       "  --scenario=s-a|s-b|s-c|s-d   video call / short video / scrolling / game\n"
       "  --bg=N                   cached background apps (default: device full pressure)\n"
       "  --duration=SECONDS       measurement window (default 30)\n"
@@ -148,40 +154,14 @@ std::vector<std::string> SplitList(const std::string& csv) {
   return out;
 }
 
-ScenarioKind KindFromName(const std::string& name) {
-  if (name == "s-a" || name == "videocall") {
-    return ScenarioKind::kVideoCall;
-  }
-  if (name == "s-b" || name == "shortvideo") {
-    return ScenarioKind::kShortVideo;
-  }
-  if (name == "s-c" || name == "scrolling") {
-    return ScenarioKind::kScrolling;
-  }
-  if (name == "s-d" || name == "game") {
-    return ScenarioKind::kGame;
-  }
-  std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-// Validates an aging-policy spelling, exiting like the other name parsers.
-void CheckAgingName(const std::string& name) {
-  AgingPolicy policy;
-  if (!AgingPolicyFromName(name, &policy)) {
-    std::fprintf(stderr, "unknown aging policy '%s' (known: two_list gen_clock)\n",
-                 name.c_str());
-    std::exit(2);
-  }
-}
-
-// Validates scheme spellings, exiting like the other name parsers.
-void CheckSchemeNames(const std::vector<std::string>& names) {
-  RegisterIceScheme();
-  for (const std::string& s : names) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
-      std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
-      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
+// The one name check behind every name-valued flag: exits 2 unless each of
+// `values` is one of `known`, listing them.
+void CheckNames(const std::string& what, const std::vector<std::string>& values,
+                const std::vector<std::string>& known) {
+  for (const std::string& value : values) {
+    if (std::find(known.begin(), known.end(), value) == known.end()) {
+      std::fprintf(stderr, "unknown %s '%s' (known:", what.c_str(), value.c_str());
+      for (const std::string& k : known) {
         std::fprintf(stderr, " %s", k.c_str());
       }
       std::fprintf(stderr, ")\n");
@@ -190,34 +170,35 @@ void CheckSchemeNames(const std::vector<std::string>& names) {
   }
 }
 
-// Parses an on|off flag value, exiting like the other flag parsers.
-bool ParseOnOff(const char* flag, const std::string& value) {
-  if (value != "on" && value != "off") {
-    std::fprintf(stderr, "%s takes 'on' or 'off', got '%s'\n", flag, value.c_str());
+// The one numeric parser behind every number-valued flag: the whole value
+// must be a decimal integer >= lo, else exits 2 naming flag and value.
+template <typename T>
+T ParseNumber(const char* flag, const std::string& value, T lo = std::numeric_limits<T>::min()) {
+  T out{};
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end || out < lo) {
+    std::fprintf(stderr, "%s takes an integer in [%s, %s], got '%s'\n", flag,
+                 std::to_string(lo).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str(), value.c_str());
     std::exit(2);
   }
-  return value == "on";
+  return out;
 }
 
-// Validates a swap-policy spelling, exiting like the other name parsers.
-void CheckSwapName(const std::string& name) {
-  SwapPolicy policy;
-  if (!SwapPolicyFromName(name, &policy)) {
-    std::fprintf(stderr, "unknown swap policy '%s' (known: baseline hotness)\n",
-                 name.c_str());
-    std::exit(2);
-  }
+ScenarioKind KindFromName(const std::string& name) {
+  // Short and long spellings, each in ScenarioKind order.
+  const std::vector<std::string> names = {"s-a",       "s-b",        "s-c",       "s-d",
+                                          "videocall", "shortvideo", "scrolling", "game"};
+  CheckNames("scenario", {name}, names);
+  size_t index = static_cast<size_t>(std::find(names.begin(), names.end(), name) -
+                                     names.begin());
+  return static_cast<ScenarioKind>(index % 4);
 }
 
 DeviceProfile DeviceFromName(const std::string& name) {
-  if (name == "p20") {
-    return P20Profile();
-  }
-  if (name == "pixel3") {
-    return Pixel3Profile();
-  }
-  std::fprintf(stderr, "unknown device '%s'\n", name.c_str());
-  std::exit(2);
+  CheckNames("device", {name}, {"p20", "pixel3"});
+  return name == "p20" ? P20Profile() : Pixel3Profile();
 }
 
 int RunSweep(const CliOptions& opts) {
@@ -226,23 +207,20 @@ int RunSweep(const CliOptions& opts) {
     axes.devices.push_back(DeviceFromName(d));
   }
   axes.schemes = SplitList(opts.scheme);
-  CheckSchemeNames(axes.schemes);  // before the workers start
-  axes.agings = SplitList(opts.aging);
-  for (const std::string& a : axes.agings) {
-    CheckAgingName(a);
-  }
-  axes.swaps = SplitList(opts.swap);
-  for (const std::string& s : axes.swaps) {
-    CheckSwapName(s);
+  CheckNames("scheme", axes.schemes, SchemeRegistry::Instance().Keys());
+  for (size_t a = 0; a < PolicyAxes().size(); ++a) {
+    const PolicyAxis& axis = PolicyAxes()[a];
+    axes.*axis.sweep = SplitList(opts.policies[a]);
+    CheckNames(std::string(axis.key) + " policy", axes.*axis.sweep, axis.names);
   }
   for (const std::string& s : SplitList(opts.scenario)) {
     axes.scenarios.push_back(KindFromName(s));
   }
   for (const std::string& b : SplitList(opts.bg)) {
-    axes.bg_counts.push_back(std::atoi(b.c_str()));
+    axes.bg_counts.push_back(ParseNumber("--bg", b, -1));
   }
   for (const std::string& s : SplitList(opts.seed)) {
-    axes.seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
+    axes.seeds.push_back(ParseNumber<uint64_t>("--seed", s));
   }
   axes.duration = Sec(static_cast<uint64_t>(opts.duration_s));
   axes.warmup = Sec(static_cast<uint64_t>(opts.warmup_s));
@@ -293,27 +271,19 @@ int RunFleet(const CliOptions& opts) {
   config.devices = opts.devices;
   config.jobs = opts.jobs;
   config.chunk = opts.chunk;
-  config.seed = std::strtoull(opts.seed.c_str(), nullptr, 10);
+  config.seed = ParseNumber<uint64_t>("--seed", opts.seed);
   config.sessions = opts.sessions;
   config.use_templates = opts.fleet_templates;
-  CheckAgingName(opts.aging);
-  config.aging = opts.aging;
-  CheckSwapName(opts.swap);
-  config.swap = opts.swap;
+  for (size_t a = 0; a < PolicyAxes().size(); ++a) {
+    const PolicyAxis& axis = PolicyAxes()[a];
+    CheckNames(std::string(axis.key) + " policy", {opts.policies[a]}, axis.names);
+    config.*axis.fleet = opts.policies[a];
+  }
   config.schemes = SplitList(opts.scheme);
-  CheckSchemeNames(config.schemes);
+  CheckNames("scheme", config.schemes, SchemeRegistry::Instance().Keys());
   if (!opts.tiers.empty()) {
     config.tiers = SplitList(opts.tiers);
-    for (const std::string& t : config.tiers) {
-      if (!IsFleetTier(t)) {
-        std::fprintf(stderr, "unknown tier '%s' (known:", t.c_str());
-        for (const std::string& k : FleetTierNames()) {
-          std::fprintf(stderr, " %s", k.c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return 2;
-      }
-    }
+    CheckNames("tier", config.tiers, FleetTierNames());
   }
 
   FleetRunner runner(config);
@@ -357,7 +327,20 @@ int RunFleet(const CliOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RegisterIceScheme();  // So scheme checks see every built-in scheme.
   CliOptions opts;
+  // Flags kept as text until the mode parses them, one per policy axis too.
+  std::vector<std::pair<std::string, std::string*>> text_flags = {
+      {"--device", &opts.device},          {"--scheme", &opts.scheme},
+      {"--scenario", &opts.scenario},      {"--bg", &opts.bg},
+      {"--seed", &opts.seed},              {"--tiers", &opts.tiers},
+      {"--snapshot", &opts.snapshot_path}, {"--restore", &opts.restore_path},
+      {"--out", &opts.out}};
+  opts.policies.resize(PolicyAxes().size());
+  for (size_t a = 0; a < PolicyAxes().size(); ++a) {
+    opts.policies[a] = PolicyAxes()[a].default_name();
+    text_flags.emplace_back("--" + std::string(PolicyAxes()[a].key), &opts.policies[a]);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -369,48 +352,31 @@ int main(int argc, char** argv) {
       opts.sweep = true;
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
       opts.fleet = true;
+    } else if (std::any_of(text_flags.begin(), text_flags.end(), [&](const auto& flag) {
+                 return ParseArg(argv[i], flag.first.c_str(), flag.second);
+               })) {
     } else if (ParseArg(argv[i], "--devices", &value)) {
-      opts.devices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(argv[i], "--tiers", &value)) {
-      opts.tiers = value;
+      opts.devices = ParseNumber<uint64_t>("--devices", value, 1);
     } else if (ParseArg(argv[i], "--sessions", &value)) {
-      opts.sessions = std::atoi(value.c_str());
+      opts.sessions = ParseNumber("--sessions", value, 1);
     } else if (ParseArg(argv[i], "--chunk", &value)) {
-      opts.chunk = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (ParseArg(argv[i], "--device", &value)) {
-      opts.device = value;
-    } else if (ParseArg(argv[i], "--scheme", &value)) {
-      opts.scheme = value;
-    } else if (ParseArg(argv[i], "--aging", &value)) {
-      opts.aging = value;
-    } else if (ParseArg(argv[i], "--swap", &value)) {
-      opts.swap = value;
-    } else if (ParseArg(argv[i], "--scenario", &value)) {
-      opts.scenario = value;
-    } else if (ParseArg(argv[i], "--bg", &value)) {
-      opts.bg = value;
+      opts.chunk = ParseNumber<uint32_t>("--chunk", value);
     } else if (ParseArg(argv[i], "--duration", &value)) {
-      opts.duration_s = std::atoi(value.c_str());
+      opts.duration_s = ParseNumber("--duration", value, 1);
     } else if (ParseArg(argv[i], "--warmup", &value)) {
-      opts.warmup_s = std::atoi(value.c_str());
-    } else if (ParseArg(argv[i], "--seed", &value)) {
-      opts.seed = value;
+      opts.warmup_s = ParseNumber("--warmup", value, 0);
     } else if (ParseArg(argv[i], "--jobs", &value)) {
-      opts.jobs = std::atoi(value.c_str());
+      opts.jobs = ParseNumber("--jobs", value, 0);
     } else if (ParseArg(argv[i], "--share-prefix", &value)) {
-      opts.share_prefix = ParseOnOff("--share-prefix", value);
+      CheckNames("--share-prefix", {value}, {"on", "off"});
+      opts.share_prefix = value == "on";
     } else if (ParseArg(argv[i], "--fleet-templates", &value)) {
-      opts.fleet_templates = ParseOnOff("--fleet-templates", value);
-    } else if (ParseArg(argv[i], "--snapshot", &value)) {
-      opts.snapshot_path = value;
-    } else if (ParseArg(argv[i], "--restore", &value)) {
-      opts.restore_path = value;
-    } else if (ParseArg(argv[i], "--out", &value)) {
-      opts.out = value;
+      CheckNames("--fleet-templates", {value}, {"on", "off"});
+      opts.fleet_templates = value == "on";
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       opts.trace = true;
     } else if (ParseArg(argv[i], "--trace-buffer-pages", &value)) {
-      opts.trace_buffer_pages = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      opts.trace_buffer_pages = ParseNumber<uint32_t>("--trace-buffer-pages", value, 1);
     } else if (ParseArg(argv[i], "--trace", &value)) {
       opts.trace = true;
       opts.trace_path = value;
@@ -432,16 +398,18 @@ int main(int argc, char** argv) {
 
   ExperimentConfig config;
   config.device = DeviceFromName(opts.device);
+  CheckNames("scheme", {opts.scheme}, SchemeRegistry::Instance().Keys());
   config.scheme = opts.scheme;
-  CheckAgingName(opts.aging);
-  config.aging = opts.aging;
-  CheckSwapName(opts.swap);
-  config.swap = opts.swap;
-  config.seed = std::strtoull(opts.seed.c_str(), nullptr, 10);
+  for (size_t a = 0; a < PolicyAxes().size(); ++a) {
+    const PolicyAxis& axis = PolicyAxes()[a];
+    CheckNames(std::string(axis.key) + " policy", {opts.policies[a]}, axis.names);
+    config.*axis.experiment = opts.policies[a];
+  }
+  config.seed = ParseNumber<uint64_t>("--seed", opts.seed);
   config.trace = opts.trace;
   config.trace_buffer_pages = opts.trace_buffer_pages;
   ScenarioKind kind = KindFromName(opts.scenario);
-  int bg_opt = std::atoi(opts.bg.c_str());
+  int bg_opt = ParseNumber("--bg", opts.bg, -1);
   int bg = bg_opt >= 0 ? bg_opt : config.device.full_pressure_bg_apps;
 
   const std::string bg_label = opts.restore_path.empty()
@@ -469,8 +437,8 @@ int main(int argc, char** argv) {
     // The decomposed caching loop, so --snapshot can save at the quiescent
     // boundary after the last app and before FinishCaching — the same spot
     // the prefix-sharing sweep forks from. With nothing to cache, settle to
-    // that boundary instead. Only a snapshot needs the boundary.
-    bool quiescent = true;
+    // that boundary instead. As in the sweep donor, only the saved boundary
+    // needs quiescence: a settle missed on the way is ignored, as cold runs do.
     if (bg > 0) {
       std::vector<Uid> pool = exp->PlanBackgroundPool({exp->UidOf(ScenarioPackage(kind))});
       if (static_cast<size_t>(bg) > pool.size()) {
@@ -478,17 +446,17 @@ int main(int argc, char** argv) {
                      pool.size());
         return 2;
       }
-      for (int i = 0; i < bg && quiescent; ++i) {
-        quiescent = exp->CacheOneBackgroundApp(pool[static_cast<size_t>(i)]) || !snapshot;
+      for (int i = 0; i < bg; ++i) {
+        exp->CacheOneBackgroundApp(pool[static_cast<size_t>(i)]);
       }
     } else if (snapshot) {
-      quiescent = exp->SettleToQuiescence();
-    }
-    if (!quiescent) {
-      std::fprintf(stderr, "snapshot failed: system did not reach quiescence\n");
-      return 1;
+      exp->SettleToQuiescence();
     }
     if (snapshot) {
+      if (!exp->QuiescentNow()) {
+        std::fprintf(stderr, "snapshot failed: system did not reach quiescence\n");
+        return 1;
+      }
       exp->SaveSnapshotToFile(opts.snapshot_path);
       std::printf("snapshot: saved to %s\n", opts.snapshot_path.c_str());
     }

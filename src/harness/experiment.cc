@@ -62,10 +62,9 @@ Experiment::Experiment(const ExperimentConfig& config,
   }
   storage_ = std::make_unique<BlockDevice>(*engine_, config_.device.flash);
   MemConfig mem_config = config_.device.mem;
-  ICE_CHECK(AgingPolicyFromName(config_.aging, &mem_config.aging))
-      << "unknown aging policy: " << config_.aging;
-  ICE_CHECK(SwapPolicyFromName(config_.swap, &mem_config.swap.policy))
-      << "unknown swap policy: " << config_.swap;
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    axis.apply(axis.IndexOf(config_.*axis.experiment), mem_config);
+  }
   mm_ = std::make_unique<MemoryManager>(*engine_, mem_config, storage_.get());
   scheduler_ = std::make_unique<Scheduler>(*engine_, *mm_, config_.device.num_cores);
   services_ = std::make_unique<SystemServices>(*scheduler_, *mm_, config_.services);
@@ -287,9 +286,11 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
       << " pages=" << c.device.mem.total_pages
       << " reserved=" << c.device.mem.os_reserved_pages
       << " hwm=" << c.device.mdt_hwm_mib << " fpba=" << c.device.full_pressure_bg_apps
-      << " seed=" << c.seed << " scheme=" << c.scheme << " aging=" << c.aging
-      << " swap=" << c.swap
-      << " fscale=" << c.tuning.footprint_scale
+      << " seed=" << c.seed << " scheme=" << c.scheme;
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    out << ' ' << axis.key << '=' << c.*axis.experiment;
+  }
+  out << " fscale=" << c.tuning.footprint_scale
       << " bgscale=" << c.tuning.bg_activity_scale << " ext=" << c.extended_catalog
       << " nogc=" << c.disable_gc << " svc=" << c.services.service_tasks << '/'
       << c.services.period << '/' << c.services.duty << '/' << c.services.jitter

@@ -15,6 +15,7 @@
 #include "src/android/choreographer.h"
 #include "src/android/device_profile.h"
 #include "src/android/system_services.h"
+#include "src/harness/policy_axes.h"
 #include "src/ice/daemon.h"
 #include "src/mem/memory_manager.h"
 #include "src/metrics/frame_stats.h"
@@ -36,14 +37,9 @@ struct ExperimentConfig {
   uint64_t seed = 42;
   // "lru_cfs", "ucsg", "acclaim", "power", "ice".
   std::string scheme = "lru_cfs";
-  // Page aging policy: "two_list" (classic active/inactive LRU) or
-  // "gen_clock" (MGLRU-style generation clock). A sweepable axis, orthogonal
-  // to the scheme (any policy scheme runs on either aging substrate).
-  std::string aging = "two_list";
-  // Swap-out policy: "baseline" (admit-everything zram) or "hotness" (the
-  // Ariadne-style hotness-gated, size-adaptive policy in src/swap/). Another
-  // sweepable axis, orthogonal to both scheme and aging.
-  std::string swap = "baseline";
+  // Page aging and swap-out policies (src/harness/policy_axes.h).
+  std::string aging = PolicyAxes()[kAgingAxis].default_name();
+  std::string swap = PolicyAxes()[kSwapAxis].default_name();
   WorkloadTuning tuning;
   bool extended_catalog = false;  // 40 apps (§3.2 study) instead of 20.
   bool disable_gc = false;        // The "idle runtime GC off" experiment.

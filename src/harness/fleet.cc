@@ -78,9 +78,9 @@ FleetRunner::FleetRunner(const FleetConfig& config) : config_(config) {
     ICE_CHECK(IsFleetTier(tier)) << "unknown fleet tier: " << tier;
   }
   ICE_CHECK(!config_.schemes.empty());
-  SwapPolicy swap_policy;
-  ICE_CHECK(SwapPolicyFromName(config_.swap, &swap_policy))
-      << "unknown swap policy: " << config_.swap;
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    axis.IndexOf(config_.*axis.fleet);  // Aborts on an unknown name.
+  }
   ICE_CHECK_GE(config_.sessions, 1);
   if (config_.jobs <= 0) {
     config_.jobs = DefaultSweepJobs();
@@ -123,8 +123,9 @@ std::vector<FleetGroupStats> FleetRunner::MakeAccumulators() const {
 
 ExperimentConfig FleetRunner::GroupConfig(size_t group, uint64_t seed) const {
   ExperimentConfig ec;
-  ec.aging = config_.aging;
-  ec.swap = config_.swap;
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    ec.*axis.experiment = config_.*axis.fleet;
+  }
   ec.device = FleetTierProfile(config_.tiers[group / config_.schemes.size()]);
   ec.scheme = config_.schemes[group % config_.schemes.size()];
   ec.seed = seed;

@@ -30,6 +30,7 @@
 
 #include "src/base/merge_histogram.h"
 #include "src/base/units.h"
+#include "src/harness/policy_axes.h"
 #include "src/swap/swap_policy.h"
 #include "src/workload/usage_trace.h"
 
@@ -44,10 +45,9 @@ struct FleetConfig {
   uint32_t chunk = 0;  // Devices per chunk; 0 = auto (a function of `devices` only).
   uint64_t seed = 1;   // Fleet seed; per-device seeds are derived from it.
   std::vector<std::string> schemes{"lru_cfs", "ice"};
-  // Page aging policy for every device ("two_list" / "gen_clock").
-  std::string aging = "two_list";
-  // Swap-out policy for every device ("baseline" / "hotness").
-  std::string swap = "baseline";
+  // Page aging and swap-out policy for every device (policy_axes.h).
+  std::string aging = PolicyAxes()[kAgingAxis].default_name();
+  std::string swap = PolicyAxes()[kSwapAxis].default_name();
   // Tier names (see FleetTierNames()); empty = the full default ladder.
   std::vector<std::string> tiers;
   // Per-device daily-usage shape: one compressed "day" of foreground

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/harness/policy_axes.h"
 #include "src/harness/report_json.h"
 
 namespace ice {
@@ -41,12 +42,10 @@ std::string FleetReportJson(const std::string& name, const FleetResult& result) 
   const FleetConfig& c = result.config;
   std::ostringstream out;
   out << "{\n  \"fleet\": \"" << JsonEscape(name) << "\",\n";
-  // Emitted only off the default so pre-existing reports stay byte-identical.
-  if (c.aging != "two_list") {
-    out << "  \"aging\": \"" << JsonEscape(c.aging) << "\",\n";
-  }
-  if (c.swap != "baseline") {
-    out << "  \"swap\": \"" << JsonEscape(c.swap) << "\",\n";
+  for (const PolicyAxis& axis : PolicyAxes()) {  // Only off-default axes.
+    if (c.*axis.fleet != axis.default_name()) {
+      out << "  \"" << axis.key << "\": \"" << JsonEscape(c.*axis.fleet) << "\",\n";
+    }
   }
   out << "  \"devices\": " << c.devices << ",\n"
       << "  \"chunk\": " << c.chunk << ",\n"
@@ -57,7 +56,8 @@ std::string FleetReportJson(const std::string& name, const FleetResult& result) 
       << "  \"peak_arena_bytes\": " << result.peak_arena_bytes << ",\n"
       << "  \"groups\": [\n";
   for (size_t i = 0; i < result.groups.size(); ++i) {
-    AppendGroup(out, result.groups[i], /*include_swap=*/c.swap != "baseline");
+    AppendGroup(out, result.groups[i],
+                /*include_swap=*/c.swap != PolicyAxes()[kSwapAxis].default_name());
     out << (i + 1 < result.groups.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";

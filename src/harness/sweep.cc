@@ -15,39 +15,41 @@
 namespace ice {
 
 std::vector<SweepCell> SweepAxes::Cells() const {
-  std::vector<SweepCell> cells;
-  cells.reserve(size());
-  const std::vector<std::string> swap_axis =
-      swaps.empty() ? std::vector<std::string>{base.swap} : swaps;
-  const std::vector<std::string> aging_axis =
-      agings.empty() ? std::vector<std::string>{base.aging} : agings;
-  for (const std::string& swap : swap_axis) {
-    for (const std::string& aging : aging_axis) {
-      for (const DeviceProfile& device : devices) {
-        for (const std::string& scheme : schemes) {
-          for (ScenarioKind scenario : scenarios) {
-            for (int bg : bg_counts) {
-              for (uint64_t seed : seeds) {
-                SweepCell cell;
-                cell.config = base;
-                cell.config.swap = swap;
-                cell.config.aging = aging;
-                cell.config.device = device;
-                cell.config.scheme = scheme;
-                cell.config.seed = seed;
-                cell.scenario = scenario;
-                cell.bg_apps = bg;
-                cell.duration = duration;
-                cell.warmup = warmup;
-                cells.push_back(cell);
-              }
-            }
-          }
-        }
+  // Cell i is a mixed-radix number, fastest digit first: seed, bg, scenario,
+  // scheme, device, then each non-empty policy-axis list in table order.
+  std::vector<SweepCell> cells(size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    size_t rest = i;
+    auto next = [&rest](const auto& values) -> const auto& {
+      const size_t digit = rest % values.size();
+      rest /= values.size();
+      return values[digit];
+    };
+    SweepCell& cell = cells[i];
+    cell.config = base;
+    cell.config.seed = next(seeds);
+    cell.bg_apps = next(bg_counts);
+    cell.scenario = next(scenarios);
+    cell.config.scheme = next(schemes);
+    cell.config.device = next(devices);
+    for (const PolicyAxis& axis : PolicyAxes()) {
+      if (!(this->*axis.sweep).empty()) {
+        cell.config.*axis.experiment = next(this->*axis.sweep);
       }
     }
+    cell.duration = duration;
+    cell.warmup = warmup;
   }
   return cells;
+}
+
+size_t SweepAxes::size() const {
+  size_t n = devices.size() * schemes.size() * scenarios.size() * bg_counts.size() *
+             seeds.size();
+  for (const PolicyAxis& axis : PolicyAxes()) {
+    n *= std::max<size_t>((this->*axis.sweep).size(), 1);
+  }
+  return n;
 }
 
 size_t SweepAxes::Index(size_t device, size_t scheme, size_t scenario, size_t bg,
@@ -112,10 +114,9 @@ std::string PrefixGroupKey(const SweepCell& cell) {
 // Phase 1 body: run one donor through the group's shared caching prefix,
 // snapshotting at each member's boundary — except the last (largest-bg)
 // member, whose cell the donor runs inline: at that point the donor *is*
-// that cell's cold state, so a save/restore round trip of the biggest
-// snapshot would be pure overhead. Members are in ascending-bg order. On
-// any failure (settle does not converge, pool exhausted, or an exception)
-// the remaining members keep an empty slot and fall back cold.
+// that cell's cold state. Members are in ascending-bg order. A failed
+// settle is ignored here as in the cold path; only a saved boundary needs
+// quiescence, and a member without it (or past an exception) runs cold.
 void RunPrefixDonor(const std::vector<SweepCell>& cells,
                     const std::vector<size_t>& members,
                     std::vector<std::optional<std::vector<uint8_t>>>& snapshots,
@@ -135,20 +136,17 @@ void RunPrefixDonor(const std::vector<SweepCell>& cells,
       if (static_cast<size_t>(bg) > pool.size()) {
         return;  // The cold path reports the error for this cell.
       }
-      while (cached < bg) {
-        if (!donor.CacheOneBackgroundApp(pool[static_cast<size_t>(cached)])) {
-          return;  // No quiescent boundary here: this and later members run cold.
-        }
-        ++cached;
+      for (; cached < bg; ++cached) {
+        donor.CacheOneBackgroundApp(pool[static_cast<size_t>(cached)]);
       }
-      if (m + 1 < members.size()) {
-        writer.Clear();
-        donor.SaveSnapshotInto(writer);
-        snapshots[idx] = writer.FinishInPlace();
-      } else {
+      if (m + 1 == members.size()) {
         donor.FinishCaching();
         donor_results[idx] =
             donor.RunScenario(cells[idx].scenario, cells[idx].duration, cells[idx].warmup);
+      } else if (donor.QuiescentNow()) {
+        writer.Clear();
+        donor.SaveSnapshotInto(writer);
+        snapshots[idx] = writer.FinishInPlace();
       }
     }
   } catch (...) {

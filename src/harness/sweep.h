@@ -32,21 +32,17 @@ struct SweepCell {
 };
 
 // Declarative grid specification. The cross product enumerates cells in
-// row-major order with `devices` slowest and `seeds` fastest, which fixes
-// the result ordering for reports and comparisons.
+// row-major order with the policy axes slowest and `seeds` fastest, which
+// fixes the result ordering for reports and comparisons.
 struct SweepAxes {
   std::vector<DeviceProfile> devices;
   std::vector<std::string> schemes;
   std::vector<ScenarioKind> scenarios;
   std::vector<int> bg_counts;  // -1 = device full-pressure count.
   std::vector<uint64_t> seeds;
-  // Page aging policies ("two_list" / "gen_clock"); empty = base.aging only.
-  // Outermost (slowest) axis, so a grid without it enumerates exactly as
-  // before the axis existed.
+  // Policy-axis lists (policy_axes.h), the outermost loops with swaps
+  // outside agings; empty = the base config's value only.
   std::vector<std::string> agings;
-  // Swap policies ("baseline" / "hotness"); empty = base.swap only. Sits
-  // outside even `agings` under the same rule: a grid without it enumerates
-  // exactly as before.
   std::vector<std::string> swaps;
   SimDuration duration = Sec(30);
   SimDuration warmup = Sec(240);
@@ -56,14 +52,10 @@ struct SweepAxes {
 
   std::vector<SweepCell> Cells() const;
   // Flat index of (device, scheme, scenario, bg, seed) into Cells(), within
-  // the first (or only) swap/aging block.
+  // the first (or only) policy-axis block.
   size_t Index(size_t device, size_t scheme, size_t scenario, size_t bg,
                size_t seed) const;
-  size_t size() const {
-    return (swaps.empty() ? 1 : swaps.size()) * (agings.empty() ? 1 : agings.size()) *
-           devices.size() * schemes.size() * scenarios.size() * bg_counts.size() *
-           seeds.size();
-  }
+  size_t size() const;
 };
 
 // Result slot for one unit of sweep work. A cell whose body throws is
@@ -123,8 +115,8 @@ class SweepRunner {
   // PlanBackgroundPool and the per-app settle-to-quiescence run in both
   // paths — so sharing changes wall-clock only, never results
   // (tests/harness/prefix_sweep_test.cc asserts this). Cells that cannot
-  // share (bg = 0, singleton groups, or a donor that fails to reach
-  // quiescence) silently fall back to a cold run.
+  // share (bg = 0, singleton groups, or a member whose boundary the donor
+  // reaches without quiescence) silently fall back to a cold run.
   std::vector<CellOutcome> Run(const std::vector<SweepCell>& cells,
                                bool share_prefix = true) const;
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "src/base/log.h"
+#include "src/harness/policy_axes.h"
 #include "src/harness/report_json.h"
 #include "src/trace/summary.h"
 
@@ -16,12 +17,10 @@ void AppendCell(std::ostringstream& out, const SweepCell& cell,
   const int bg = SweepRunner::NormalizedBg(cell);
   out << "    {\"device\": \"" << JsonEscape(c.device.name) << "\""
       << ", \"scheme\": \"" << JsonEscape(c.scheme) << "\"";
-  // Emitted only off the default so pre-existing reports stay byte-identical.
-  if (c.aging != "two_list") {
-    out << ", \"aging\": \"" << JsonEscape(c.aging) << "\"";
-  }
-  if (c.swap != "baseline") {
-    out << ", \"swap\": \"" << JsonEscape(c.swap) << "\"";
+  for (const PolicyAxis& axis : PolicyAxes()) {  // Only off-default axes.
+    if (c.*axis.experiment != axis.default_name()) {
+      out << ", \"" << axis.key << "\": \"" << JsonEscape(c.*axis.experiment) << "\"";
+    }
   }
   out << ", \"scenario\": \"" << ScenarioLabel(cell.scenario) << "\""
       << ", \"bg_apps\": " << bg << ", \"seed\": " << c.seed
@@ -46,7 +45,7 @@ void AppendCell(std::ostringstream& out, const SweepCell& cell,
   if (r.zram_rejects > 0) {
     out << ", \"zram_rejects\": " << r.zram_rejects;
   }
-  if (c.swap != "baseline") {
+  if (c.swap != PolicyAxes()[kSwapAxis].default_name()) {
     out << ", \"swap_rejects_hot\": " << r.swap_rejects_hot
         << ", \"swap_writeback_pages\": " << r.swap_writeback_pages
         << ", \"swap_stores_fast\": " << r.swap_stores_fast

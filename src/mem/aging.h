@@ -12,35 +12,16 @@
 //    has no pointer-chase dependency chain.
 //
 // The policy is chosen per MemoryManager (MemConfig::aging) and applied to
-// every address space at Register time; sweeps treat it as a first-class
-// axis (SweepAxes::agings, icesim_cli --aging).
+// every address space at Register time. Its names, default and config
+// fields are a row of the policy-axis table (src/harness/policy_axes.h).
 #ifndef SRC_MEM_AGING_H_
 #define SRC_MEM_AGING_H_
 
 #include <cstdint>
-#include <string>
 
 namespace ice {
 
 enum class AgingPolicy : uint8_t { kTwoList, kGenClock };
-
-inline const char* AgingPolicyName(AgingPolicy policy) {
-  return policy == AgingPolicy::kGenClock ? "gen_clock" : "two_list";
-}
-
-// Parses the CLI/config spelling. Returns false (and leaves *out untouched)
-// for unknown names so callers own the error surface.
-inline bool AgingPolicyFromName(const std::string& name, AgingPolicy* out) {
-  if (name == "two_list") {
-    *out = AgingPolicy::kTwoList;
-    return true;
-  }
-  if (name == "gen_clock") {
-    *out = AgingPolicy::kGenClock;
-    return true;
-  }
-  return false;
-}
 
 }  // namespace ice
 

@@ -16,38 +16,19 @@
 //    is written back to flash when the pool runs hot, so reclaim self-cleans
 //    instead of hard-stopping mid-batch.
 //
-// The policy is chosen per MemoryManager (MemConfig::swap) and threaded
-// through the stack exactly like AgingPolicy: ExperimentConfig::swap,
-// SweepAxes::swaps, FleetConfig::swap, icesim_cli --swap.
+// The policy is chosen per MemoryManager (MemConfig::swap). Like
+// AgingPolicy, its names, default and config fields are a row of the
+// policy-axis table (src/harness/policy_axes.h).
 #ifndef SRC_SWAP_SWAP_POLICY_H_
 #define SRC_SWAP_SWAP_POLICY_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/base/units.h"
 
 namespace ice {
 
 enum class SwapPolicy : uint8_t { kBaseline, kHotness };
-
-inline const char* SwapPolicyName(SwapPolicy policy) {
-  return policy == SwapPolicy::kHotness ? "hotness" : "baseline";
-}
-
-// Parses the CLI/config spelling. Returns false (and leaves *out untouched)
-// for unknown names so callers own the error surface.
-inline bool SwapPolicyFromName(const std::string& name, SwapPolicy* out) {
-  if (name == "baseline") {
-    *out = SwapPolicy::kBaseline;
-    return true;
-  }
-  if (name == "hotness") {
-    *out = SwapPolicy::kHotness;
-    return true;
-  }
-  return false;
-}
 
 // One compression codec profile: per-page CPU costs plus the log-normal
 // compressed-size model, charged through the same Zram::Store cost path the

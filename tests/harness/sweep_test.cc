@@ -110,6 +110,38 @@ TEST(SweepAxes, EmptyAgingAxisKeepsCellCountAndOmitsLabel) {
             std::string::npos);
 }
 
+TEST(SweepAxes, PolicyAxesAreOutermostSwapOutsideAging) {
+  // The policy-axis table drives the two outer loops: swap slowest, then
+  // aging, then the per-cell axes, so pre-table grids keep their order.
+  SweepAxes axes;
+  axes.devices = {Pixel3Profile()};
+  axes.schemes = {"lru_cfs", "ice"};
+  axes.scenarios = {ScenarioKind::kShortVideo};
+  axes.bg_counts = {2};
+  axes.seeds = {7};
+  axes.agings = {"two_list", "gen_clock"};
+  axes.swaps = {"baseline", "hotness"};
+  std::vector<SweepCell> cells = axes.Cells();
+  ASSERT_EQ(cells.size(), axes.size());
+  ASSERT_EQ(cells.size(), 8u);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].config.scheme, axes.schemes[i % 2]) << i;
+    EXPECT_EQ(cells[i].config.aging, axes.agings[(i / 2) % 2]) << i;
+    EXPECT_EQ(cells[i].config.swap, axes.swaps[i / 4]) << i;
+  }
+}
+
+TEST(PolicyAxes, NamesFollowEnumOrderDefaultFirst) {
+  const PolicyAxis& aging = PolicyAxes()[kAgingAxis];
+  const PolicyAxis& swap = PolicyAxes()[kSwapAxis];
+  EXPECT_EQ(aging.IndexOf("gen_clock"), static_cast<size_t>(AgingPolicy::kGenClock));
+  EXPECT_EQ(aging.IndexOf(aging.default_name()), static_cast<size_t>(AgingPolicy::kTwoList));
+  EXPECT_EQ(swap.IndexOf("hotness"), static_cast<size_t>(SwapPolicy::kHotness));
+  EXPECT_EQ(swap.IndexOf(swap.default_name()), static_cast<size_t>(SwapPolicy::kBaseline));
+  EXPECT_EQ(ExperimentConfig().aging, aging.default_name());
+  EXPECT_EQ(ExperimentConfig().swap, swap.default_name());
+}
+
 TEST(SweepRunner, OrderingIndependentOfJobs) {
   // Later indices finish first (decreasing sleep), so any runner that
   // returned results in completion order would invert the ordering.
