@@ -1,4 +1,4 @@
-// Fleet warm-boot microbenchmarks: the three ways a fleet worker can get a
+// Fleet warm-boot microbenchmarks: the two ways a fleet worker can get a
 // device to the post-boot quiescent boundary, measured in isolation.
 //
 //   ColdConstruct    — fresh Experiment (subsystem construction, catalog
@@ -6,16 +6,13 @@
 //                      what every device paid before warm-boot templates.
 //   TemplateRestore  — a fresh Experiment built around a donor snapshot
 //                      (RestoreSnapshot: full construction, then overlay).
-//   RecycledRestore  — RestoreTemplate on a live donor: no construction at
-//                      all; the wheel/scheduler/AM/MM/storage are reset in
-//                      place and the template overlaid, reusing every
-//                      arena, pool and buffer the instance already owns.
+//                      The fleet's RestoreTemplate takes the same build
+//                      path on its live donor, after destroying the
+//                      previous device.
 //
-// The fleet path is RecycledRestore; its gap to ColdConstruct is the
-// per-device boot cost the templates remove, and its gap to TemplateRestore
-// is what instance recycling saves on top of snapshot forking. A fourth
-// pair measures the whole-device effect (boot + one-session trace) the
-// FLEET smoke sees end to end.
+// Their gap is the per-device boot cost the templates remove. A second pair
+// measures the whole-device effect (boot + one-session trace) the FLEET
+// smoke sees end to end.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -59,19 +56,8 @@ void BM_FleetTemplateRestore(benchmark::State& state) {
   }
 }
 
-void BM_FleetRecycledRestore(benchmark::State& state) {
-  std::vector<uint8_t> tmpl = MakeTemplate();
-  Experiment donor(Mid4gConfig(1));
-  donor.SettleToQuiescence();
-  uint64_t seed = 100;
-  for (auto _ : state) {
-    donor.RestoreTemplate(tmpl, seed++);
-    benchmark::DoNotOptimize(donor.engine().now());
-  }
-}
-
 // Whole-device comparison: boot-to-quiescence plus one short usage-trace
-// session, cold versus recycled — the shape of one FLEET smoke device.
+// session, cold versus templated — the shape of one FLEET smoke device.
 void RunTraceOn(Experiment& exp) {
   std::vector<UsageTraceRunner::InstalledApp> apps;
   apps.reserve(exp.catalog().size());
@@ -99,7 +85,7 @@ void BM_FleetDeviceCold(benchmark::State& state) {
   }
 }
 
-void BM_FleetDeviceRecycled(benchmark::State& state) {
+void BM_FleetDeviceTemplated(benchmark::State& state) {
   std::vector<uint8_t> tmpl = MakeTemplate();
   Experiment donor(Mid4gConfig(1));
   donor.SettleToQuiescence();
@@ -113,9 +99,8 @@ void BM_FleetDeviceRecycled(benchmark::State& state) {
 
 BENCHMARK(BM_FleetColdConstruct)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FleetTemplateRestore)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FleetRecycledRestore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FleetDeviceCold)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FleetDeviceRecycled)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetDeviceTemplated)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ice

@@ -123,8 +123,8 @@ void PrintHelp() {
       "                           part of the determinism contract — output is\n"
       "                           byte-identical for any --jobs at fixed chunk)\n"
       "  --fleet-templates=on|off warm-boot templates: fork each device from a\n"
-      "                           per-group post-boot snapshot with per-worker\n"
-      "                           sim recycling instead of cold-constructing it\n"
+      "                           per-group post-boot snapshot instead of\n"
+      "                           cold-constructing and booting it\n"
       "                           (default on; results byte-identical)\n"
       "  --jobs/--scheme/--seed/--out as in sweep mode; report:\n"
       "                           results/FLEET_NAME.json\n");
@@ -201,6 +201,16 @@ DeviceProfile DeviceFromName(const std::string& name) {
   return name == "p20" ? P20Profile() : Pixel3Profile();
 }
 
+// Prints where a report went. An empty path means the writer could not
+// write it (and logged why): the run then fails, since its output is gone.
+bool PrintReportPath(const std::string& path) {
+  if (path.empty()) {
+    return false;
+  }
+  std::printf("report: %s\n", path.c_str());
+  return true;
+}
+
 int RunSweep(const CliOptions& opts) {
   SweepAxes axes;
   for (const std::string& d : SplitList(opts.device)) {
@@ -259,9 +269,8 @@ int RunSweep(const CliOptions& opts) {
   }
   table.Print();
 
-  std::string path = WriteSweepReport(opts.out, runner.jobs(), cells, outcomes);
-  if (!path.empty()) {
-    std::printf("report: %s\n", path.c_str());
+  if (!PrintReportPath(WriteSweepReport(opts.out, runner.jobs(), cells, outcomes))) {
+    return 1;
   }
   return failures == 0 ? 0 : 1;
 }
@@ -317,9 +326,8 @@ int RunFleet(const CliOptions& opts) {
                  static_cast<unsigned long long>(result.devices_failed));
   }
 
-  std::string path = WriteFleetReport(opts.out, result);
-  if (!path.empty()) {
-    std::printf("report: %s\n", path.c_str());
+  if (!PrintReportPath(WriteFleetReport(opts.out, result))) {
+    return 1;
   }
   return result.devices_failed == 0 ? 0 : 1;
 }

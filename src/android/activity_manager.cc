@@ -397,27 +397,6 @@ bool ActivityManager::KillOneCached() {
   return true;
 }
 
-void ActivityManager::KillAllForRecycle() {
-  replaying_ = true;  // Suppress listeners; policy state is restored later.
-  for (AppEntry& e : entries_) {
-    if (e.app->running()) {
-      KillApp(*e.app);
-    }
-  }
-  replaying_ = false;
-  ICE_CHECK(foreground_ == nullptr);
-}
-
-void ActivityManager::ResetForRecycle() {
-  for (AppEntry& e : entries_) {
-    ICE_CHECK(!e.app->running()) << e.app->package() << ": recycle with a running app";
-  }
-  process_graveyard_.clear();
-  lifecycle_log_.clear();
-  launches_.clear();
-  next_pid_ = 2000;
-}
-
 void ActivityManager::NotifyState(App& app, AppState old_state) {
   if (replaying_) {
     return;

@@ -144,18 +144,6 @@ class ActivityManager {
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
 
-  // ---- Recycling support ----------------------------------------------------
-  // Two-phase teardown bracketing the scheduler's task destruction:
-  // KillAllForRecycle kills every running app with listeners suppressed
-  // (releasing their memory and marking their tasks dead); after the
-  // scheduler has destroyed those dead tasks, ResetForRecycle drops the
-  // process graveyard (safe only once no task references the processes) and
-  // rewinds the lifecycle history so RestoreFrom sees a fresh manager.
-  // Installed apps and the uid sequence are kept — the catalog is identical
-  // across devices of a group.
-  void KillAllForRecycle();
-  void ResetForRecycle();
-
  private:
   struct AppEntry {
     std::unique_ptr<App> app;

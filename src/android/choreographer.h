@@ -49,20 +49,6 @@ class Choreographer {
 
   FrameStats& stats() { return stats_; }
 
-  // Recycling support: stops the vsync clock and forgets all frame state, so
-  // a reused pipeline matches a freshly constructed (pre-Start) one. The
-  // trace runner starts the clock but never stops it, so the recycler must.
-  void ResetForRecycle() {
-    if (next_vsync_ != kInvalidEventId) {
-      am_.engine().Cancel(next_vsync_);  // Stale after a wheel clear: no-op.
-      next_vsync_ = kInvalidEventId;
-    }
-    started_ = false;
-    source_ = nullptr;
-    frame_seq_ = 0;
-    stats_.Clear();
-  }
-
   // Frames in flight on the render thread beyond which vsyncs drop. Depth 1
   // means a slow frame causes dropped vsyncs (visible jank) rather than a
   // growing latency queue — matching how the Android pipeline invalidates.

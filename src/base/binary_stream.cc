@@ -58,8 +58,7 @@ void PutU64At(std::vector<uint8_t>& buf, size_t at, uint64_t v) {
 
 BinaryWriter::BinaryWriter() {
   buf_.reserve(256);
-  buf_.insert(buf_.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
-  U32(kSnapshotFormatVersion);
+  Clear();
 }
 
 void BinaryWriter::U8(uint8_t v) { buf_.push_back(v); }
@@ -127,10 +126,13 @@ const std::vector<uint8_t>& BinaryWriter::FinishInPlace() {
 }
 
 void BinaryWriter::Clear() {
-  buf_.clear();  // Keeps capacity.
   open_.clear();
   finished_ = false;
-  buf_.insert(buf_.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
+  // Shrinking keeps capacity. The header goes in by memcpy rather than an
+  // insert into the emptied buffer, which gcc 12 misreads as an overflow
+  // (-Warray-bounds / -Wstringop-overflow).
+  buf_.resize(sizeof(kSnapshotMagic));
+  std::memcpy(buf_.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
   U32(kSnapshotFormatVersion);
 }
 

@@ -47,12 +47,18 @@ Experiment::Experiment(const ExperimentConfig& config,
                        const std::vector<uint8_t>* snapshot, bool verify_checksum)
     : config_(config) {
   RegisterIceScheme();
+  // Normalize once, here: Build() runs again on every RestoreTemplate, and the
+  // fingerprint carries both fields, so a second scaling would not match.
   config_.tuning.footprint_scale *= config_.device.footprint_scale;
   if (config_.ice.hwm_mib == 0) {
     // Table 4: H_wm for Eq. 1 comes from the device configuration.
     config_.ice.hwm_mib = config_.device.mdt_hwm_mib;
   }
+  Build(snapshot, verify_checksum, /*seed_agnostic=*/false);
+}
 
+void Experiment::Build(const std::vector<uint8_t>* snapshot, bool verify_checksum,
+                       bool seed_agnostic) {
   engine_ = std::make_unique<Engine>(config_.seed);
   if (config_.trace) {
     // Install before any subsystem exists so task creation can register
@@ -117,10 +123,6 @@ Experiment::Experiment(const ExperimentConfig& config,
   refs.storage = storage_.get();
   scheme_->Install(refs);
 
-  // Everything alive now (kswapd + services) is the boot prefix recycling
-  // truncates back to; app tasks are only created later.
-  boot_task_count_ = scheduler_->task_count();
-
   if (snapshot == nullptr) {
     // Let the base system settle (services reach steady state).
     engine_->RunFor(Sec(2));
@@ -128,11 +130,11 @@ Experiment::Experiment(const ExperimentConfig& config,
     // Restore mode: nothing has run yet, so the only scheduled events are
     // the ones Install() armed — RestoreFromBytes cancels those and replays
     // the saved state instead.
-    RestoreFromBytes(*snapshot, verify_checksum);
+    RestoreFromBytes(*snapshot, verify_checksum, seed_agnostic);
   }
 }
 
-Experiment::~Experiment() = default;
+Experiment::~Experiment() { DestroyDevice(); }
 
 Uid Experiment::UidOf(const std::string& package) const {
   for (size_t i = 0; i < catalog_.size(); ++i) {
@@ -416,33 +418,29 @@ void Experiment::RestoreFromBytes(const std::vector<uint8_t>& snapshot,
   r.ExpectEnd();
 }
 
-void Experiment::ResetForRecycle() {
-  // Ordering contract:
-  //  1. Choreographer first — it stops the vsync clock (the trace runner
-  //     starts it but never stops it) while its event handle is still valid.
-  //  2. Kill every app while the wheel is live (KillApp cancels task timers,
-  //     releases spaces back to the MM, drains their pending faults, drops
-  //     their zram residency, and parks the processes in the graveyard).
-  //  3. Clear the wheel. Boot tasks keep stale timer handles; the generation
-  //     bump makes them resolve to nothing, and Task::RestoreFrom re-arms.
-  //  4. Destroy the dead post-boot tasks and rewind the task-id sequence.
-  //     Must precede graveyard teardown: tasks hold Process* backpointers.
-  //  5. Drop the graveyard and rewind the lifecycle history / pid sequence.
-  //  6/7. Rewind the memory manager's and block device's scalar state.
-  choreographer_->ResetForRecycle();
-  am_->KillAllForRecycle();
-  engine_->ResetForRecycle();
-  scheduler_->ResetForRecycle(boot_task_count_);
-  am_->ResetForRecycle();
-  mm_->ResetForRecycle();
-  storage_->ResetForRecycle();
+void Experiment::DestroyDevice() {
+  // Reverse construction order, as member destruction would run it: nothing
+  // is destroyed while a later-built subsystem still refers to it.
+  scheme_.reset();
+  choreographer_.reset();
+  am_.reset();
+  lmk_.reset();
+  freezer_.reset();
+  services_.reset();
+  scheduler_.reset();
+  mm_.reset();
+  storage_.reset();
+  tracer_.reset();
+  engine_.reset();
+  catalog_uids_.clear();
+  catalog_.clear();
 }
 
 void Experiment::RestoreTemplate(const std::vector<uint8_t>& snapshot,
                                  uint64_t new_seed) {
-  ResetForRecycle();
+  DestroyDevice();
   config_.seed = new_seed;
-  RestoreFromBytes(snapshot, /*verify_checksum=*/false, /*seed_agnostic=*/true);
+  Build(&snapshot, /*verify_checksum=*/false, /*seed_agnostic=*/true);
   // The snapshot carries the donor's trace stream; give this device its own.
   // The noise stream stays as restored — cold and templated runs then consume
   // identical noise draws from the template point on.

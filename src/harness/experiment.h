@@ -191,23 +191,22 @@ class Experiment {
   static std::unique_ptr<Experiment> RestoreSnapshotFromFile(
       const ExperimentConfig& config, const std::string& path);
 
-  // ---- Warm-boot templates (instance recycling) -----------------------
+  // ---- Warm-boot templates ---------------------------------------------
   //
-  // RestoreTemplate rewinds this *live* Experiment back to the snapshot
-  // instead of constructing a fresh one: every running app is killed with
-  // listeners suppressed, the event wheel / scheduler / activity manager /
-  // memory manager / block device are reset to their post-construction
-  // shape (keeping their allocations — timing-wheel node pool, task
-  // scratch, arena pools, writer capacity), and the snapshot is overlaid
-  // via the normal restore path. The trace RNG is then reseeded from
-  // `new_seed` and config().seed updated, so the recycled instance is
-  // indistinguishable from a cold Experiment(config with seed=new_seed)
-  // restored from the same template: boot consumes zero draws from the
-  // device-seed stream (they all come from Engine::noise_rng()), so the
-  // snapshot is seed-independent apart from the fingerprint text. The
-  // fingerprint check is therefore seed-agnostic on this path; every other
-  // config field must still match exactly. The checksum scan is skipped —
-  // templates never leave the process.
+  // RestoreTemplate turns this Experiment into a different device of the
+  // same group: it destroys the current device, sets config().seed to
+  // `new_seed`, rebuilds through the constructor's build path with the
+  // snapshot overlaid, and reseeds the trace RNG from `new_seed`. The result
+  // is indistinguishable from RestoreSnapshot(config with seed=new_seed):
+  // boot consumes zero draws from the device-seed stream (they all come from
+  // Engine::noise_rng()), so the snapshot is seed-independent apart from the
+  // fingerprint text. The fingerprint check is therefore seed-agnostic on
+  // this path; every other config field must still match exactly. The
+  // checksum scan is skipped — templates never leave the process. Since
+  // nothing of the previous device survives, a device that threw mid-run
+  // leaves nothing for the next call to clean up; by the same token, every
+  // reference or pointer into a subsystem (engine(), am(), tracer(), ...)
+  // taken before the call dangles after it.
   void RestoreTemplate(const std::vector<uint8_t>& snapshot, uint64_t new_seed);
 
   // Launches the scenario's own app in the foreground and runs the scenario
@@ -223,20 +222,23 @@ class Experiment {
   void AwaitInteractive(Uid uid, SimDuration timeout = Sec(30));
 
  private:
-  // Shared constructor body: builds the device, then either settles the
-  // fresh system (snapshot == nullptr) or restores the saved state.
+  // Normalizes the config, then Build()s.
   Experiment(const ExperimentConfig& config, const std::vector<uint8_t>* snapshot,
              bool verify_checksum = true);
+
+  // The one build path, from the normalized config_: constructs every
+  // subsystem, installs the catalog and the scheme, then either settles the
+  // fresh system (snapshot == nullptr) or restores the saved state.
+  void Build(const std::vector<uint8_t>* snapshot, bool verify_checksum,
+             bool seed_agnostic);
+  // Destroys the device in reverse construction order; the destructor and
+  // RestoreTemplate share it.
+  void DestroyDevice();
 
   // `seed_agnostic` compares fingerprints with the seed token stripped
   // (RestoreTemplate overlays a donor snapshot onto a different seed).
   void RestoreFromBytes(const std::vector<uint8_t>& snapshot, bool verify_checksum,
-                        bool seed_agnostic = false);
-
-  // Teardown half of RestoreTemplate; see the member comment there for the
-  // ordering contract between the wheel clear, task destruction, and the
-  // process graveyard.
-  void ResetForRecycle();
+                        bool seed_agnostic);
 
   ExperimentConfig config_;
   std::unique_ptr<Engine> engine_;
@@ -252,9 +254,6 @@ class Experiment {
   std::unique_ptr<Scheme> scheme_;
   std::vector<CatalogApp> catalog_;
   std::vector<Uid> catalog_uids_;
-  // Tasks alive at the end of construction (kswapd + system services); the
-  // boundary ResetForRecycle truncates the scheduler's task vector back to.
-  size_t boot_task_count_ = 0;
 };
 
 }  // namespace ice

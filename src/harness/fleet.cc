@@ -5,6 +5,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -28,20 +29,26 @@ std::vector<UsageTraceRunner::InstalledApp> InstalledAppsOf(Experiment& exp) {
   }
   return apps;
 }
+
+// Settles a freshly booted device to the post-boot quiescent boundary every
+// device's trace starts at. Settling is a pure function of the group config
+// (boot draws nothing from the device seed), and every group config the
+// fleet can form settles (fleet_test pins all of them), so a miss is a bug,
+// not a device outcome. Cold and templated runs throw alike.
+void SettleBootOrThrow(Experiment& exp) {
+  if (!exp.SettleToQuiescence()) {
+    throw std::runtime_error("fleet: booted device did not reach quiescence");
+  }
+}
 }  // namespace
 
 // Per-worker warm-boot state, indexed by ParallelFor's worker: only that
 // worker's thread touches it.
 struct FleetRunner::WorkerContext {
   struct GroupContext {
-    // Built on the group's first device, and again after a device throws
-    // (or the build itself threw) and left it null.
+    // Built on the group's first device, and again after the build threw and
+    // left it null. Each device rebuilds it from the template.
     std::unique_ptr<Experiment> donor;
-    // Donor failed to settle — run this group's devices cold. Settling is a
-    // pure function of the group config (boot consumes no device-seed
-    // draws), so every worker reaches the same verdict and templated output
-    // stays byte-identical to cold.
-    bool cold_fallback = false;
     std::vector<uint8_t> template_bytes;
     std::vector<UsageTraceRunner::InstalledApp> apps;
   };
@@ -135,11 +142,9 @@ ExperimentConfig FleetRunner::GroupConfig(size_t group, uint64_t seed) const {
 void FleetRunner::RunDevice(uint64_t device_index, FleetGroupStats& group) const {
   Experiment exp(GroupConfig(GroupOf(device_index),
                              DeviceSeed(config_.seed, device_index)));
-  // Settle to the same quiescent boundary the warm-boot template is taken
-  // at, so templated and cold devices start the trace at identical clocks.
-  // Settling is seed-independent; if it fails here it fails on the donor
-  // too, and both paths just start wherever the bounded search stopped.
-  exp.SettleToQuiescence();
+  // The same boundary the warm-boot template is taken at, so templated and
+  // cold devices start the trace at identical clocks.
+  SettleBootOrThrow(exp);
   std::vector<UsageTraceRunner::InstalledApp> apps = InstalledAppsOf(exp);
   RunTrace(exp, apps, group);
 }
@@ -151,38 +156,24 @@ void FleetRunner::RunDeviceWith(WorkerContext& wc, uint64_t device_index,
     return;
   }
   WorkerContext::GroupContext& gc = wc.groups[GroupOf(device_index)];
-  if (gc.donor == nullptr && !gc.cold_fallback) {
+  if (gc.donor == nullptr) {
     // The donor seed is arbitrary — boot draws nothing from the device-seed
     // stream and the template fingerprint is compared seed-agnostically —
     // but the fleet seed keeps it deterministic and clearly not any
     // device's.
     auto donor = std::make_unique<Experiment>(
         GroupConfig(GroupOf(device_index), config_.seed));
-    if (donor->SettleToQuiescence()) {
-      wc.writer.Clear();
-      donor->SaveSnapshotInto(wc.writer);
-      gc.template_bytes = wc.writer.FinishInPlace();
-      gc.apps = InstalledAppsOf(*donor);
-      gc.donor = std::move(donor);
-    } else {
-      gc.cold_fallback = true;
-    }
+    SettleBootOrThrow(*donor);
+    wc.writer.Clear();
+    donor->SaveSnapshotInto(wc.writer);
+    gc.template_bytes = wc.writer.FinishInPlace();
+    gc.apps = InstalledAppsOf(*donor);
+    gc.donor = std::move(donor);
   }
-  if (gc.cold_fallback) {
-    RunDevice(device_index, group);
-    return;
-  }
-  try {
-    gc.donor->RestoreTemplate(gc.template_bytes,
-                              DeviceSeed(config_.seed, device_index));
-    RunTrace(*gc.donor, gc.apps, group);
-  } catch (...) {
-    // A device that threw leaves the donor in an unknown mid-run state;
-    // discard it so the group's next device rebuilds from a clean boot.
-    gc.donor.reset();
-    gc.template_bytes.clear();
-    throw;
-  }
+  // Rebuilds the device from the template, so nothing a previous device left
+  // behind (even one that threw mid-trace) carries over.
+  gc.donor->RestoreTemplate(gc.template_bytes, DeviceSeed(config_.seed, device_index));
+  RunTrace(*gc.donor, gc.apps, group);
 }
 
 void FleetRunner::RunTrace(Experiment& exp,

@@ -56,12 +56,14 @@ struct FleetConfig {
   int sessions = 3;
   SimDuration session_mean = Sec(4);
   double session_sigma = 0.4;
-  // Warm-boot templates: each worker builds one donor Experiment per fleet
+  // Warm-boot templates: each worker boots one donor Experiment per fleet
   // group, snapshots it at the post-boot quiescent boundary, and runs every
-  // device of that group by recycling the donor in place (restore template,
-  // reseed the trace RNG from the device seed). Boot consumes zero
-  // device-seed draws, so the output is byte-identical to cold per-device
-  // construction — `off` is the escape hatch CI diffs against.
+  // device of that group by restoring the template into the donor
+  // (Experiment::RestoreTemplate: rebuild, overlay, reseed the trace RNG
+  // from the device seed). Devices then skip the 2 s simulated boot and the
+  // settle. Boot consumes zero device-seed draws, so the output is
+  // byte-identical to cold per-device construction — `off` is the escape
+  // hatch CI diffs against.
   bool use_templates = true;
 };
 
@@ -132,6 +134,7 @@ class FleetRunner {
   // metrics into `group` (which must be the accumulator for
   // GroupOf(device_index)). Exposed for tests; Run() goes through the
   // warm-boot template path when config().use_templates (same bytes out).
+  // Both paths throw when boot does not settle to quiescence.
   void RunDevice(uint64_t device_index, FleetGroupStats& group) const;
 
  private:

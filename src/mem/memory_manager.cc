@@ -130,24 +130,6 @@ void MemoryManager::Release(AddressSpace& space) {
   SyncZramFrames();
 }
 
-void MemoryManager::ResetForRecycle() {
-  ICE_CHECK(spaces_.empty()) << "recycle with address spaces still registered";
-  ICE_CHECK(pending_faults_.empty()) << "recycle with in-flight faults";
-  ICE_CHECK(!in_reclaim_);
-  ICE_CHECK_EQ(zram_.stored_bytes(), 0u) << "recycle with pages still in zram";
-  next_space_id_ = 0;
-  reclaim_cursor_ = 0;
-  zram_frames_held_ = 0;
-  last_zram_reject_time_ = 0;
-  has_zram_reject_ = false;
-  free_pages_ = static_cast<int64_t>(config_.total_pages - config_.os_reserved_pages);
-  foreground_uid_ = kInvalidUid;
-  arena_bytes_live_ = 0;
-  arena_bytes_peak_ = 0;
-  kswapd_woken_ = false;
-  writeback_pending_ = 0;
-}
-
 SimDuration MemoryManager::ContentionPenalty() {
   if (!kswapd_woken_ || config_.reclaim_contention_mean == 0) {
     return 0;

@@ -206,12 +206,6 @@ class MemoryManager {
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
 
-  // Recycling support: rewinds the manager to its just-constructed state so a
-  // snapshot can be overlaid via RestoreFrom. Requires every address space to
-  // have been Released already (the recycler kills all apps first); keeps the
-  // isolation scratch and waiter pool allocations.
-  void ResetForRecycle();
-
  private:
   // Takes one free frame for `space`, entering direct reclaim below the min
   // watermark. Reclaim/OOM costs are accumulated into `outcome`.

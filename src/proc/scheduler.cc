@@ -182,24 +182,6 @@ void Scheduler::RestoreFrom(BinaryReader& r) {
   }
 }
 
-void Scheduler::ResetForRecycle(size_t boot_task_count) {
-  ICE_CHECK_LE(boot_task_count, tasks_.size());
-  // Unlink everything first; ListNode asserts unlinked at destruction, and
-  // RestoreFrom rebuilds membership from the serialized order anyway.
-  run_queue_.Clear();
-  for (size_t i = boot_task_count; i < tasks_.size(); ++i) {
-    ICE_CHECK(tasks_[i]->state() == TaskState::kDead)
-        << tasks_[i]->name() << ": recycle with a live post-boot task";
-  }
-  tasks_.resize(boot_task_count);
-  live_tasks_.clear();
-  for (auto& t : tasks_) {
-    ICE_CHECK(t->state() != TaskState::kDead) << t->name() << ": dead boot task";
-    live_tasks_.push_back(t.get());
-  }
-  task_seq_ = boot_task_count;
-}
-
 void Scheduler::Tick(SimTime now) {
   const SimDuration quantum = Engine::kTick;
   capacity_us_ += static_cast<uint64_t>(num_cores_) * quantum;

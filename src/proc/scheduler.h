@@ -74,9 +74,6 @@ class Scheduler : public Ticker {
 
   // All live tasks (for experiments/inspection).
   const std::vector<Task*>& live_tasks() const { return live_tasks_; }
-  // Total tasks ever created (live + graveyard); the boot-task count the
-  // recycler captures right after construction.
-  size_t task_count() const { return tasks_.size(); }
 
   // ---- Snapshot support -----------------------------------------------------
   // Serializes CPU accounting, every task's dynamic state (tasks_ order), the
@@ -86,15 +83,6 @@ class Scheduler : public Ticker {
   // task population (task_seq_ and tasks_.size() are checked).
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
-
-  // Recycling support: destroys every task created after the boot prefix
-  // (app tasks — all already dead; the usual mid-simulation graveyard rule
-  // does not apply because nothing is running) and rewinds the task-id
-  // sequence, so a post-boot snapshot can be overlaid via RestoreFrom. The
-  // engine's event wheel must already be cleared: destroyed tasks may hold
-  // stale timer handles, and RestoreFrom's CancelTimer relies on those ids
-  // resolving to nothing.
-  void ResetForRecycle(size_t boot_task_count);
 
  private:
   Engine& engine_;

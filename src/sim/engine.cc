@@ -55,13 +55,6 @@ void Engine::RestoreFrom(BinaryReader& r) {
   stats_.RestoreFrom(r);
 }
 
-void Engine::ResetForRecycle() {
-  events_.Clear();
-  now_ = 0;
-  ticks_ = 0;
-  ticks_skipped_ = 0;
-}
-
 void Engine::AddTicker(Ticker* ticker) {
   ICE_CHECK(ticker != nullptr);
   if (in_tick_) {

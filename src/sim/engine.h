@@ -102,21 +102,12 @@ class Engine {
   std::optional<std::pair<SimTime, uint64_t>> PendingEvent(EventId id) const {
     return events_.Pending(id);
   }
-  // Live events in the wheel. Snapshot sanity: every one of these must be
-  // owned (and re-armed on restore) by some component's serialization.
-  size_t pending_events() const { return events_.size(); }
 
   // Clock, tick counters, event-sequence cursor, RNGs, and stats registry.
   // RestoreFrom requires the event queue to be empty (timers are re-armed by
   // their owners afterwards) and repositions the wheel cursor to now().
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
-
-  // Recycling support: drop every pending event (keeping the wheel's node
-  // pool) and rewind the clock so a subsequent RestoreFrom can overlay a
-  // snapshot onto this live engine. Registered tickers are kept — the
-  // components that own them persist across a recycle.
-  void ResetForRecycle();
 
   // Tickers are called in registration order. Registration during a tick
   // takes effect from the next tick.

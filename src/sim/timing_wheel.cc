@@ -159,37 +159,6 @@ void TimingWheel::RestoreClock(SimTime now) {
   cur_slot_ = now >> kLevel0Shift;
 }
 
-void TimingWheel::Clear() {
-  ICE_CHECK(!in_run_due_) << "Clear during dispatch";
-  for (uint32_t level = 0; level < kLevels; ++level) {
-    for (uint32_t slot = 0; slot < kSlots; ++slot) {
-      uint32_t idx = DetachSlot(level, slot);
-      while (idx != kNil) {
-        uint32_t next = pool_[idx].next;
-        if (pool_[idx].live) {
-          pool_[idx].live = false;
-          --live_count_;
-        }
-        FreeNode(idx);
-        idx = next;
-      }
-    }
-  }
-  while (!overflow_.empty()) {
-    uint32_t idx = HeapPop(overflow_);
-    if (pool_[idx].live) {
-      pool_[idx].live = false;
-      --live_count_;
-    }
-    FreeNode(idx);
-  }
-  due_.clear();
-  due_extra_.clear();
-  ICE_CHECK_EQ(live_count_, 0u);
-  cur_slot_ = 0;
-  next_seq_ = 1;
-}
-
 bool TimingWheel::Cancel(EventId id) {
   uint32_t low = static_cast<uint32_t>(id & 0xffffffffu);
   if (low == 0 || low > pool_.size()) {

@@ -86,16 +86,9 @@ class TimingWheel {
   // the clock is set.
   void RestoreClock(SimTime now);
 
-  // Drops every node — live or husk — back into the free pool and rewinds the
-  // cursor to slot 0, keeping the pool's capacity. Recycling support: a wheel
-  // that has run a whole device trace is reset in O(nodes) with no frees, so
-  // the next restore re-arms timers into warm storage.
-  void Clear();
-
   // ---- Introspection (tests, benches) ---------------------------------------
   // Total pool capacity ever allocated (live + dead + free nodes).
   size_t allocated_nodes() const { return pool_.size(); }
-  size_t overflow_size() const { return overflow_.size(); }
 
  private:
   static constexpr uint32_t kSlotBits = 6;         // 64 slots per level.

@@ -42,7 +42,6 @@ class BlockDevice {
   // when enabled, queued foreground requests are started before background
   // ones. Off by default — the paper's stock configuration is FIFO.
   void set_fg_priority(bool enabled) { fg_priority_ = enabled; }
-  bool fg_priority() const { return fg_priority_; }
 
   size_t queued() const { return queue_.size(); }
   int inflight() const { return inflight_; }
@@ -74,14 +73,6 @@ class BlockDevice {
   // so SaveTo ICE_CHECKs emptiness and serializes only counters + RNG.
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
-
-  // Recycling support: drop queued commands and forget in-flight ones (their
-  // completion events died with the engine's wheel) so RestoreFrom's idle
-  // checks hold on a reused device.
-  void ResetForRecycle() {
-    queue_.clear();
-    inflight_ = 0;
-  }
 
  private:
   void MaybeStart();

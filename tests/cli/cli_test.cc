@@ -1,6 +1,7 @@
-// icesim_cli input validation: every unknown name and malformed number must
-// exit 2 with a message naming the bad value, in every mode, before any
-// simulation starts (so each case runs instantly).
+// icesim_cli exit codes. Input validation: every unknown name and malformed
+// number must exit 2 with a message naming the bad value, in every mode,
+// before any simulation starts (so each case runs instantly). A report that
+// cannot be written exits 1.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -63,6 +64,19 @@ TEST(Cli, MalformedNumbersExit2) {
   ExpectRejected("--sweep --seed=7,x", "x");
   ExpectRejected("--jobs=4cores", "4cores");
   ExpectRejected("--bg=-2", "-2");
+}
+
+// A report that cannot be written fails the run: --out names a file under
+// results/, and a missing subdirectory there makes the open fail. One tiny
+// cell or device each, so both runs finish at once.
+TEST(Cli, UnwritableReportExits1) {
+  for (const std::string mode : {"--sweep", "--fleet"}) {
+    CliRun run = RunCli(mode + " --bg=0 --duration=1 --warmup=0 --devices=1" +
+                        " --out=/nonexistent/x");
+    EXPECT_EQ(run.exit_code, 1) << mode << "\n" << run.output;
+    EXPECT_NE(run.output.find("cannot open"), std::string::npos) << mode << "\n"
+                                                                 << run.output;
+  }
 }
 
 TEST(Cli, HelpExitsZero) { EXPECT_EQ(RunCli("--help").exit_code, 0); }

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "src/android/device_profile.h"
+#include "src/base/rng.h"
+#include "src/harness/experiment.h"
 #include "src/harness/fleet_report.h"
+#include "src/harness/policy_axes.h"
 #include "src/policy/registry.h"
 
 namespace ice {
@@ -79,7 +82,7 @@ TEST(FleetRunnerTest, EmptyFleetProducesEmptyGroups) {
 // This is the in-process twin of the CI leg that diffs --jobs=1 against
 // --jobs=3 and --jobs=8; jobs=3 splits the 4 chunks unevenly. Runs through
 // the default warm-boot template path, so it also pins the per-worker
-// donor/recycle machinery to the shard-independence contract.
+// donor/template machinery to the shard-independence contract.
 TEST(FleetRunnerTest, ReportIsByteIdenticalAcrossJobCounts) {
   FleetConfig serial_config = SmokeConfig();
   serial_config.jobs = 1;
@@ -127,6 +130,34 @@ TEST(FleetRunnerTest, ThrowingDonorBuildFailsEachDeviceCleanly) {
   EXPECT_EQ(r.devices_failed, 3u);
   EXPECT_EQ(r.groups[0].first_error_device, 0u);
   EXPECT_EQ(r.groups[0].first_error, "scheme factory failed");
+}
+
+// Every group config a fleet can form (tier x built-in scheme x aging x
+// swap, built as FleetRunner::GroupConfig builds it) boots to quiescence
+// without drawing from the device seed. The fleet treats a boot that does
+// not settle as an error rather than running the group cold, and shares one
+// template across a group's seeds; this pins both premises.
+TEST(FleetRunnerTest, EveryGroupConfigBootsToQuiescenceWithoutSeedDraws) {
+  const uint64_t seed = 2024;
+  for (const std::string& tier : FleetTierNames()) {
+    for (const char* scheme : {"lru_cfs", "ucsg", "acclaim", "power", "ice"}) {
+      for (const std::string& aging : PolicyAxes()[kAgingAxis].names) {
+        for (const std::string& swap : PolicyAxes()[kSwapAxis].names) {
+          SCOPED_TRACE(tier + "/" + scheme + "/" + aging + "/" + swap);
+          ExperimentConfig config;
+          config.device = FleetTierProfile(tier);
+          config.scheme = scheme;
+          config.aging = aging;
+          config.swap = swap;
+          config.seed = seed;
+          Experiment exp(config);
+          EXPECT_TRUE(exp.SettleToQuiescence());
+          Rng fresh(seed);
+          EXPECT_EQ(exp.engine().rng().Next64(), fresh.Next64());
+        }
+      }
+    }
+  }
 }
 
 // The warm-boot acceptance contract: templated output is byte-identical to

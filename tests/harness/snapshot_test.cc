@@ -163,11 +163,11 @@ TEST(WarmBootTemplate, BootConsumesNoDeviceSeedDraws) {
   }
 }
 
-// RestoreTemplate overlays a post-boot snapshot onto a *live* experiment
-// (instance recycling) and reseeds the trace RNG; the result must be
-// indistinguishable from a cold experiment built directly with that seed.
-// The second device recycles an instance dirtied by the first device's run
-// — the exact path each fleet worker's donor takes.
+// RestoreTemplate rebuilds a *live* experiment from a post-boot snapshot and
+// reseeds the trace RNG; the result must be indistinguishable from a cold
+// experiment built directly with that seed. The second device reuses an
+// instance dirtied by the first device's run — the exact path each fleet
+// worker's donor takes.
 TEST(WarmBootTemplate, RecycledRestoreMatchesColdRun) {
   ExperimentConfig donor_config = SmallConfig("ice", "two_list");
   donor_config.seed = 1;  // Arbitrary: the template is seed-independent.
